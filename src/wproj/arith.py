@@ -37,15 +37,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def as_integer(value: RationalLike) -> int:
-    """Coerce an exact rational that happens to be integral, else TypeError."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    raise TypeError(f"expected an integer value, got {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # Places
 # ---------------------------------------------------------------------------
@@ -89,10 +80,6 @@ class Place:
 
 
 ARCHIMEDEAN = Place()
-
-
-def finite_place(p: int) -> Place:
-    return Place(p)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +288,6 @@ class LogValue:
 
     def __float__(self) -> float:
         return sum((float(c) * math.log(p) for p, c in self._coeffs.items()), 0.0)
-
-    def value(self) -> float:
-        return float(self)
 
     def _sign(self) -> int:
         """Exact sign of the represented real number."""

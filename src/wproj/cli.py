@@ -14,23 +14,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .arith import ARCHIMEDEAN, LogValue, Place, is_prime
-from .errors import ParseError, WProjError
+from .errors import MixedDegree, ParseError, WProjError
 from .gcdops import Subscheme, hwgcd, log_hwgcd, log_wgcd, wgcd
 from .heights import wheight
 from .localheights import (
     DivisorSpec,
     global_sum,
-    zeta_hyperplane,
+    zeta_hyperplane,  # unused here; perfbench/tracing.py rebinds this name
     zeta_principal,
     zeta_subscheme,
 )
-from .points import normalize, parse_coords, parse_point, veronese
+from .points import normalization, parse_coords, parse_point, veronese
 from .scan import (
     AuditReport,
     BoxDomain,
@@ -42,7 +41,7 @@ from .scan import (
 )
 from .singular import is_singular, singular_components
 from .weights import Weights, parse_weights, reduce, veronese_data
-from .wpoly import parse_polynomial
+from .wpoly import is_homogeneous, parse_polynomial
 
 
 def _rat(value) -> str:
@@ -185,11 +184,8 @@ def cmd_hwgcd(args) -> int:
 
 def cmd_normalize(args) -> int:
     w = parse_weights(args.weights)
-    x = parse_point(args.point, w)
-    # the weighted gcd divided out after clearing denominators
-    lam = math.lcm(*(c.denominator for c in x.coords))
-    cleared = [c * Fraction(lam) ** q for c, q in zip(x.coords, w.q)]
-    record = {"point": str(normalize(x)), "wgcd": _rat(wgcd(cleared, w))}
+    point, lam, g = normalization(parse_point(args.point, w))
+    record = {"point": str(point), "wgcd": _rat(g)}
     if lam != 1:
         record["denominator_scale"] = _rat(lam)
     _emit(record)
@@ -238,20 +234,16 @@ def cmd_singular(args) -> int:
 def _divisor_payload(args, w: Weights):
     if args.generators:
         gens = _parse_generators(args.generators, w)
+        if not all(is_homogeneous(g) for g in gens):
+            # rejected up front, not only when a mixed generator is
+            # nonzero at the point: the answer must not depend on the
+            # representative
+            raise MixedDegree("local heights need weighted homogeneous generators")
         gcd_weights = parse_weights(args.gcd_weights) if args.gcd_weights else None
-        sub = Subscheme(gens, gcd_weights)
-        if sub.has_mixed_generator():
-            print(
-                "warning: mixed-degree generator; gcd weights taken from flags",
-                file=sys.stderr,
-            )
-        return DivisorSpec.subscheme_min(sub)
+        return DivisorSpec.subscheme_min(Subscheme(gens, gcd_weights))
     if not args.divisor:
         raise ParseError("need --divisor or --generators")
-    f = parse_polynomial(args.divisor, w)
-    if args.kind == "hyperplane":
-        return DivisorSpec.hyperplane(f)
-    return DivisorSpec.principal(f)
+    return DivisorSpec.principal(parse_polynomial(args.divisor, w))
 
 
 def cmd_zeta(args) -> int:
@@ -261,8 +253,6 @@ def cmd_zeta(args) -> int:
     spec = _divisor_payload(args, w)
     if spec.subscheme is not None:
         value = zeta_subscheme(x, spec.subscheme, place, args.metric)
-    elif args.kind == "hyperplane":
-        value = zeta_hyperplane(x, spec.polynomial, place, args.metric)
     else:
         value = zeta_principal(x, spec.polynomial, place, args.metric)
     _emit({
@@ -311,7 +301,6 @@ def _config_record(config: ScanConfig) -> dict:
         "s_primes": sorted(config.s_primes),
         "domain": domain,
         "codim": config.r,
-        "metric": config.metric_mode,
     }
 
 
@@ -373,7 +362,6 @@ def cmd_vojta_scan(args) -> int:
         s_primes=_parse_s_primes(args.s_primes),
         domain=_parse_domain(args.domain, len(w)),
         codim=args.codim,
-        metric_mode=args.metric,
     )
     report = vojta_scan(config, workers=args.workers)
     text = format_scan_csv(report) if args.format == "csv" else format_scan_json(report)
@@ -481,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--divisor", help="a single form, e.g. 'x0'")
         p.add_argument("--generators", help="semicolon-separated forms")
         p.add_argument("--gcd-weights", dest="gcd_weights")
-        p.add_argument("--kind", choices=("principal", "hyperplane"), default="principal")
         p.add_argument("--metric", choices=("paper", "alt"), default="paper")
 
     p = sub.add_parser("zeta", help="local height at one place")
@@ -511,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-primes", dest="s_primes", default="", help="e.g. 2,3")
     p.add_argument("--domain", required=True, help="box:RADIUS | box:a..b,... | sunit:p1,p2:MAX")
     p.add_argument("--codim", type=int, default=None)
-    p.add_argument("--metric", choices=("paper", "alt"), default="paper")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_vojta_scan)

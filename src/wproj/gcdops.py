@@ -3,9 +3,12 @@
 The weighted GCD of an integer tuple is the product over primes p of
 p^min_i(floor(ord_p(x_i)/q_i)); zero coordinates contribute +infinity
 to the min.  The generalized (h-) variants use the non-negative part
-of the valuation and extend to rational tuples.  ``t_nu`` is the same
-min at a single place, and ``hwgcd_subscheme`` applies the log weighted
-GCD to the values of a subscheme's generators at a point.
+of the valuation and extend to rational tuples.  A prime dividing every
+nonzero numerator of a reduced fraction tuple divides no denominator,
+so the finite part of hwgcd is the weighted GCD of the numerators: one
+integer kernel serves both.  ``t_nu`` is the same min at a single
+place, and ``hwgcd_subscheme`` applies the log weighted GCD to the
+values of a subscheme's generators at a point.
 """
 
 from __future__ import annotations
@@ -138,44 +141,22 @@ def _wgcd_exponents(ints: Sequence[int], w: Weights) -> dict[int, int]:
 
 def wgcd(xs: Sequence[RationalLike], w: Weights) -> int:
     """Weighted GCD of an integer tuple (not all zero)."""
-    ints = _integer_tuple(xs, w)
-    result = 1
-    for p, e in _wgcd_exponents(ints, w).items():
-        result *= p ** e
-    return result
+    exponents = _wgcd_exponents(_integer_tuple(xs, w), w)
+    return math.prod(p ** e for p, e in exponents.items())
 
 
 def log_wgcd(xs: Sequence[RationalLike], w: Weights) -> LogValue:
     """Exact formal sum sum_p min_i(floor(ord_p(x_i)/q_i)) * log p."""
-    ints = _integer_tuple(xs, w)
-    return LogValue({p: Fraction(e) for p, e in _wgcd_exponents(ints, w).items()})
-
-
-def _hwgcd_exponents(vals: Sequence[Fraction], w: Weights) -> dict[int, int]:
-    """Finite-place exponents of the generalized weighted GCD (nu-plus)."""
-    nonzero = [(v, q) for v, q in zip(vals, w.q) if v != 0]
-    g = 0
-    for v, _ in nonzero:
-        g = math.gcd(g, abs(v.numerator))
-    if g == 1:
-        return {}
-    exponents: dict[int, int] = {}
-    for p, _ in factorize(g).factors:
-        e = min(max(ord_int(v.numerator, p) - ord_int(v.denominator, p), 0) // q
-                for v, q in nonzero)
-        if e > 0:
-            exponents[p] = e
-    return exponents
+    return LogValue(_wgcd_exponents(_integer_tuple(xs, w), w))
 
 
 def hwgcd(xs: Sequence[RationalLike], w: Weights) -> int:
     """Generalized weighted GCD of a rational tuple: finite places only,
-    with the non-negative valuation part.  Always a positive integer."""
+    with the non-negative valuation part.  Always a positive integer,
+    equal to the weighted GCD of the numerators."""
     vals = _normalize_tuple(xs, w)
-    result = 1
-    for p, e in _hwgcd_exponents(vals, w).items():
-        result *= p ** e
-    return result
+    exponents = _wgcd_exponents([v.numerator for v in vals], w)
+    return math.prod(p ** e for p, e in exponents.items())
 
 
 def log_hwgcd(
@@ -189,7 +170,7 @@ def log_hwgcd(
     into prime logs, and the min is selected by exact comparison.
     """
     vals = _normalize_tuple(xs, w)
-    total = LogValue({p: Fraction(e) for p, e in _hwgcd_exponents(vals, w).items()})
+    total = LogValue(_wgcd_exponents([v.numerator for v in vals], w))
     if include_archimedean:
         candidates = [
             Fraction(1, q) * LogValue.of_rational(max(Fraction(1, 1) / abs(v), 1))

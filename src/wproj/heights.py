@@ -40,20 +40,16 @@ def weil_height(coords: Sequence[RationalLike]) -> tuple[int, float]:
     return h_mult, log_of_fraction(Fraction(h_mult))
 
 
-def _place_factor(coords: tuple[Fraction, ...], exps: tuple[int, ...],
-                  place: Place) -> Fraction:
+def max_term_exponent(coords: Sequence[Fraction], exps: Sequence[int], p: int) -> int:
+    """The k with max_i |x_i|_p^{e_i} = p^k; zero coordinates are skipped."""
+    return max(-e * val(c, p) for c, e in zip(coords, exps) if c != 0)
+
+
+def max_term(coords: Sequence[Fraction], exps: Sequence[int], place: Place) -> Fraction:
     """max_i |x_i|_v^{e_i} at one place, as an exact rational."""
     if place.is_archimedean:
         return max(abs(c) ** e for c, e in zip(coords, exps))
-    p = place.prime
-    best = None
-    for c, e in zip(coords, exps):
-        if c == 0:
-            continue
-        exponent = -e * val(c, p)
-        if best is None or exponent > best:
-            best = exponent
-    return Fraction(p) ** best
+    return Fraction(place.prime) ** max_term_exponent(coords, exps, place.prime)
 
 
 def wheight(x: WPoint) -> HeightValue:
@@ -66,7 +62,7 @@ def wheight(x: WPoint) -> HeightValue:
     per_place = []
     product = Fraction(1)
     for place in relevant_places(nonzero):
-        factor = _place_factor(x.coords, exps, place)
+        factor = max_term(x.coords, exps, place)
         per_place.append((place, factor))
         product *= factor
     return HeightValue(

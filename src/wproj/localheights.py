@@ -4,9 +4,12 @@ For a form f and a point x off its zero set, the local height at a
 place v is -(1/m) * log(|f(x)|_v / max_i |x_i|_v^{e_i}) where the
 denominator exponents are e_i = q_i ("paper" mode, the printed metric)
 or e_i = m/q_i ("alt" mode, the variant whose denominator is weighted
-homogeneous of degree m).  Values are exact LogValue sums; subscheme
-heights take the min over generators; global heights sum over the
-finitely many places that can contribute.
+homogeneous of degree m).  One form-based local height serves every
+divisor: a hyperplane section and a principal divisor are the same
+computation, and a subscheme takes the min over its generators.  Both
+|f(x)|_v and the denominator come from the max-term routine that the
+weighted height uses.  Values are exact LogValue sums; global heights
+sum over the finitely many places that can contribute.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .arith import LogValue, Place, relevant_places, val
+from .arith import LogValue, Place, relevant_places
 from .errors import MixedDegree, OnSupport, PointOnSubscheme
 from .gcdops import Subscheme
-from .heights import wheight
+from .heights import max_term, max_term_exponent, wheight
 from .points import WPoint
 from .weights import Weights
 from .wpoly import WPolynomial, evaluate, is_homogeneous
@@ -27,7 +31,6 @@ Mode = str  # "paper" | "alt"
 
 
 class DivisorKind(enum.Enum):
-    HYPERPLANE = "hyperplane"
     PRINCIPAL = "principal"
     SUBSCHEME_MIN = "subscheme-min"
 
@@ -49,10 +52,6 @@ class DivisorSpec:
                 raise ValueError(f"{self.kind.value} needs a nonzero polynomial")
 
     @classmethod
-    def hyperplane(cls, form: WPolynomial) -> "DivisorSpec":
-        return cls(DivisorKind.HYPERPLANE, polynomial=form)
-
-    @classmethod
     def principal(cls, f: WPolynomial) -> "DivisorSpec":
         return cls(DivisorKind.PRINCIPAL, polynomial=f)
 
@@ -70,55 +69,18 @@ def _denominator_exponents(w: Weights, mode: Mode) -> tuple[int, ...]:
     return w.q if mode == "paper" else tuple(w.m // q for q in w.q)
 
 
-def denominator_log(x: WPoint, place: Place, mode: Mode) -> LogValue:
-    """Exact log of max_i |x_i|_v^{e_i} at one place."""
-    exps = _denominator_exponents(x.weights, mode)
-    if place.is_archimedean:
-        return LogValue.of_rational(
-            max(abs(c) ** e for c, e in zip(x.coords, exps))
-        )
-    p = place.prime
-    best = None
-    for c, e in zip(x.coords, exps):
-        if c == 0:
-            continue
-        candidate = -e * val(c, p)
-        if best is None or candidate > best:
-            best = candidate
-    return LogValue.of_prime(p, best)
-
-
-def _value_log(value: Fraction, place: Place) -> LogValue:
-    """Exact log of |value|_v for a nonzero rational."""
-    if place.is_archimedean:
-        return LogValue.of_rational(abs(value))
-    return LogValue.of_prime(place.prime, -val(value, place.prime))
-
-
-def _zeta_form(x: WPoint, f: WPolynomial, place: Place, mode: Mode) -> LogValue:
-    value = evaluate(f, x.coords)
-    if value == 0:
-        raise OnSupport(f"the form vanishes at {x}")
-    m = x.weights.m
-    return Fraction(1, m) * (denominator_log(x, place, mode) - _value_log(value, place))
-
-
-def zeta_hyperplane(
-    x: WPoint,
-    form: WPolynomial,
-    place: Place,
-    mode: Mode = "paper",
-    allow_mixed: bool = False,
+def _log_max_term(
+    coords: Sequence[Fraction], exps: Sequence[int], place: Place
 ) -> LogValue:
-    """Local height of a hyperplane-style section at one place.
+    """Exact log of max_i |x_i|_v^{e_i} at one place."""
+    if place.is_archimedean:
+        return LogValue.of_rational(max_term(coords, exps, place))
+    return LogValue.of_prime(place.prime, max_term_exponent(coords, exps, place.prime))
 
-    Any homogeneous form is accepted; the printed formula is reproduced
-    verbatim in paper mode.
-    """
-    _check_mode(mode)
-    if not allow_mixed and not is_homogeneous(form):
-        raise MixedDegree("hyperplane form must be weighted homogeneous")
-    return _zeta_form(x, form, place, mode)
+
+def denominator_log(x: WPoint, place: Place, mode: Mode) -> LogValue:
+    """Exact log of the local height's denominator at one place."""
+    return _log_max_term(x.coords, _denominator_exponents(x.weights, mode), place)
 
 
 def zeta_principal(
@@ -128,11 +90,23 @@ def zeta_principal(
     mode: Mode = "paper",
     allow_mixed: bool = False,
 ) -> LogValue:
-    """Local height of the divisor of a nonzero regular form at one place."""
+    """Local height of the divisor of a nonzero regular form at one place.
+
+    Any homogeneous form is accepted (a hyperplane section is the case of
+    a linear form); the printed formula is reproduced verbatim in paper
+    mode.
+    """
     _check_mode(mode)
     if not allow_mixed and not is_homogeneous(f):
         raise MixedDegree("principal divisor form must be weighted homogeneous")
-    return _zeta_form(x, f, place, mode)
+    value = evaluate(f, x.coords)
+    if value == 0:
+        raise OnSupport(f"the form vanishes at {x}")
+    value_log = _log_max_term((value,), (1,), place)
+    return Fraction(1, x.weights.m) * (denominator_log(x, place, mode) - value_log)
+
+
+zeta_hyperplane = zeta_principal
 
 
 def zeta_subscheme(
@@ -189,12 +163,8 @@ def global_sum(
             total = total + zeta_subscheme(
                 x, spec.subscheme, place, mode, allow_mixed=allow_mixed
             )
-        elif spec.kind is DivisorKind.PRINCIPAL:
-            total = total + zeta_principal(
-                x, spec.polynomial, place, mode, allow_mixed=allow_mixed
-            )
         else:
-            total = total + zeta_hyperplane(
+            total = total + zeta_principal(
                 x, spec.polynomial, place, mode, allow_mixed=allow_mixed
             )
     return total

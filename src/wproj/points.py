@@ -107,11 +107,12 @@ def apply_weight_map(x: WPoint, wmap: WeightMap) -> WPoint:
     return WPoint(wmap.map_coords(x.coords), wmap.target)
 
 
-def normalize(x: WPoint) -> WPoint:
-    """Unique integral representative with weighted GCD 1 and sign canon.
+def normalization(x: WPoint) -> tuple[WPoint, int, int]:
+    """The normalized point with the two scalars that produce it.
 
-    First scale by the lcm of coordinate denominators (staying inside
-    the orbit), then divide out the weighted GCD, then fix the sign.
+    First scale by lam, the lcm of coordinate denominators (staying
+    inside the orbit), then divide out g, the weighted GCD of the
+    cleared tuple, then fix the sign.  Returns (point, lam, g).
     Requires well-formed weights for uniqueness.
     """
     if not x.weights.is_well_formed():
@@ -121,7 +122,12 @@ def normalize(x: WPoint) -> WPoint:
     ints = [c * Fraction(lam) ** qi for c, qi in zip(x.coords, q)]
     g = wgcd(ints, x.weights)
     reduced = tuple(c / Fraction(g) ** qi for c, qi in zip(ints, q))
-    return sign_canon(WPoint(reduced, x.weights))
+    return sign_canon(WPoint(reduced, x.weights)), lam, g
+
+
+def normalize(x: WPoint) -> WPoint:
+    """Unique integral representative with weighted GCD 1 and sign canon."""
+    return normalization(x)[0]
 
 
 def sign_canon(x: WPoint) -> WPoint:

@@ -77,7 +77,6 @@ class ScanConfig:
     s_primes: frozenset[int]
     domain: Domain
     codim: int | None = None
-    metric_mode: str = "paper"
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -86,8 +85,6 @@ class ScanConfig:
             raise ValueError("delta must be non-negative")
         if self.subscheme.ambient_weights != self.weights:
             raise ValueError("subscheme generators must use the scan weights")
-        if self.metric_mode not in ("paper", "alt"):
-            raise ValueError("metric_mode must be 'paper' or 'alt'")
         if self.r - 1 + self.delta <= 0:
             raise ValueError(
                 "the rhs exponent needs r - 1 + delta > 0 "

@@ -40,6 +40,29 @@ def brute_wgcd(xs, q) -> int:
     return best
 
 
+def nu_plus_wgcd_exponents(xs, q) -> dict[int, int]:
+    """p -> min_i floor(max(ord_p num_i - ord_p den_i, 0) / q_i) over the
+    nonzero x_i, for every prime dividing some numerator or denominator;
+    only positive exponents are kept.  This is the generalized weighted
+    GCD straight from its definition, with no lowest-terms shortcut."""
+    factored = [
+        (dict(trial_division(x.numerator)), dict(trial_division(x.denominator)), qi)
+        for x, qi in ((Fraction(x), qi) for x, qi in zip(xs, q))
+        if x != 0
+    ]
+    if not factored:
+        raise ValueError("all zero")
+    primes = set()
+    for num, den, _ in factored:
+        primes.update(num, den)
+    out = {}
+    for p in primes:
+        e = min(max(num.get(p, 0) - den.get(p, 0), 0) // qi for num, den, qi in factored)
+        if e > 0:
+            out[p] = e
+    return out
+
+
 class WgcdOracleTable:
     """The same candidate-divisor test, precomputed per coordinate.
 

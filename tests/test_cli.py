@@ -42,6 +42,9 @@ def test_hwgcd_command(capsys):
 def test_normalize_command(capsys):
     record = run_json(capsys, "normalize", "[16:64]", "--weights", "(2,3)")
     assert record == {"point": "[1:1]", "wgcd": "4"}
+    # [1/2:3/4] * 4 = [4:48], and 48 = 2^3 * 6 holds the weighted gcd 2
+    record = run_json(capsys, "normalize", "[1/2:3/4]", "--weights", "(2,3)")
+    assert record == {"point": "[2:6]", "wgcd": "2", "denominator_scale": "4"}
 
 
 def test_veronese_command_symbolic(capsys):
@@ -119,6 +122,7 @@ def test_vojta_scan_json(capsys):
     assert record["config"]["domain"]["kind"] == "sunit"
     assert record["summary"]["rows"] == len(record["rows"])
     assert "runtime" not in record["summary"]
+    assert "metric" not in record["config"]
     assert "warning" in err  # mixed-degree generators
 
 
@@ -171,3 +175,32 @@ def test_bad_place_is_parse_error(capsys):
         "--place", "6",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [("zeta", "--place", "2"), ("global-height",)])
+@pytest.mark.parametrize("point", ["[-1:1]", "[-4:8]"])
+def test_local_heights_reject_mixed_generators_for_every_representative(
+    capsys, command, point
+):
+    # [-4:8] is 2 * [-1:1]; x0+x1 is mixed in weights (2,3) and vanishes
+    # only at the first representative, so a lazy check would accept it
+    code, out, err = run_cli(
+        capsys, command[0], point, "--weights", "(2,3)",
+        "--generators", "x0+x1;x1", "--gcd-weights", "(1,3)", *command[1:],
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "mixed-degree"
+    assert "warning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "[3:4]", "--weights", "(2,3)", "--divisor", "x0", "--place", "3",
+     "--kind", "hyperplane"),
+    ("vojta-scan", "--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0",
+     "--domain", "box:2", "--metric", "alt"),
+])
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2

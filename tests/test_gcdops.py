@@ -26,7 +26,7 @@ from wproj.points import WPoint, normalize, scale
 from wproj.weights import Weights
 from wproj.wpoly import parse_polynomial
 
-from oracles import brute_wgcd
+from oracles import brute_wgcd, nu_plus_wgcd_exponents
 
 W23 = Weights.of(2, 3)
 W11 = Weights.of(1, 1)
@@ -58,6 +58,27 @@ def test_hwgcd_examples():
     assert hwgcd((4, Fraction(8, 3)), W23) == 2
     assert hwgcd((1, 1), W23) == 1
     assert hwgcd((Fraction(1, 2), Fraction(1, 3)), W23) == 1
+
+
+def test_hwgcd_matches_nu_plus_oracle_on_rationals():
+    # numerators share a factor c^{q_i} so that many tuples have a
+    # nontrivial generalized gcd; denominators may cancel part of it
+    rng = random.Random(31)
+    nontrivial = 0
+    for q in ((1, 2), (2, 3), (1, 1, 2), (2, 3, 5)):
+        w = Weights(q)
+        for _ in range(300):
+            c = rng.choice((1, 2, 3, 4, 6, 10, 12))
+            xs = tuple(
+                Fraction(c ** qi * rng.randint(-30, 30), rng.randint(1, 30)) for qi in q
+            )
+            if all(x == 0 for x in xs):
+                continue
+            exponents = nu_plus_wgcd_exponents(xs, q)
+            assert hwgcd(xs, w) == math.prod(p ** e for p, e in exponents.items())
+            assert log_hwgcd(xs, w) == LogValue(exponents)
+            nontrivial += bool(exponents)
+    assert nontrivial > 300
 
 
 def test_log_hwgcd_examples():

@@ -21,6 +21,8 @@ from wproj.points import WPoint, normalize
 from wproj.weights import Weights
 from wproj.wpoly import WPolynomial, evaluate, parse_polynomial
 
+from helpers import rand_point
+
 W23 = Weights.of(2, 3)
 X34 = WPoint.of((3, 4), W23)
 F_X0 = parse_polynomial("x0", W23)
@@ -265,19 +267,27 @@ def test_subscheme_global_cross_check_against_hwgcd():
 
 def test_alt_mode_global_sum_is_the_weighted_height():
     # in alt mode the denominators are exactly the height's max terms,
-    # so the global sum of any principal divisor is lwh(x), exactly
+    # so the global sum of any principal divisor is lwh(x), exactly, at
+    # integral and rational points alike
     from wproj.heights import wheight
 
     rng = random.Random(73)
-    w = Weights.of(2, 3)
-    for _ in range(30):
-        x = rand_integral_point(rng, w, bound=15)
-        f = rand_homogeneous(rng, w)
-        if evaluate(f, x.coords) == 0:
-            continue
-        total = global_sum(x, DivisorSpec.principal(f), "alt")
-        hv = wheight(x)
-        assert w.m * total == LogValue.of_rational(hv.wh_pow_m)
+    for q in ((2, 3), (1, 2, 3), (2, 3, 5)):
+        w = Weights(q)
+        checked = 0
+        for i in range(60):
+            if i % 2:
+                x = rand_point(rng, w, num_bound=6, den_bound=4)
+            else:
+                x = rand_integral_point(rng, w, bound=15)
+            f = rand_homogeneous(rng, w)
+            if evaluate(f, x.coords) == 0:
+                continue
+            total = global_sum(x, DivisorSpec.principal(f), "alt")
+            hv = wheight(x)
+            assert w.m * total == LogValue.of_rational(hv.wh_pow_m)
+            checked += 1
+        assert checked >= 40
 
 
 def test_height_discrepancy_reports_gap():

@@ -215,8 +215,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_config(delta=Fraction(-1))
     with pytest.raises(ValueError):
-        make_config(metric_mode="other")
-    with pytest.raises(ValueError):
         BoxDomain(((3, 1),))
     with pytest.raises(ValueError):
         SUnitGrid((), 10)
