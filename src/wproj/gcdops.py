@@ -36,7 +36,7 @@ from .errors import (
     PointOnSubscheme,
 )
 from .weights import Weights
-from .wpoly import MIXED, WPolynomial, evaluate, weighted_degree
+from .wpoly import MIXED, WPolynomial, evaluate, integer_value, weighted_degree
 
 if TYPE_CHECKING:  # only for annotations; points imports this module
     from .points import WPoint
@@ -101,8 +101,16 @@ class Subscheme:
                 gw.append(df + dg)
         return Subscheme(tuple(gens), Weights(tuple(gw)))
 
-    def values_at(self, coords: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    def rational_values_at(self, coords: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+        """Exact generator values at a rational point."""
         return tuple(evaluate(g, coords) for g in self.generators)
+
+    def values_at(self, coords: Sequence[RationalLike]) -> tuple[int, ...]:
+        """Generator values at an integral point, as ints; raises
+        NonIntegralValue at the first coordinate or value that is not an
+        integer."""
+        coords = _integer_tuple(coords, self.ambient_weights)
+        return tuple([integer_value(g, coords) for g in self.generators])
 
 
 def _normalize_tuple(xs: Sequence[RationalLike], w: Weights) -> list[Fraction]:
@@ -114,7 +122,10 @@ def _normalize_tuple(xs: Sequence[RationalLike], w: Weights) -> list[Fraction]:
     return vals
 
 
-def _integer_tuple(xs: Sequence[RationalLike], w: Weights) -> list[int]:
+def _integer_tuple(xs: Sequence[RationalLike], w: Weights) -> Sequence[int]:
+    """xs as ints, after the arity, all-zero and integrality checks."""
+    if len(xs) == len(w) and all(type(v) is int for v in xs) and any(xs):
+        return xs  # the checks below would pass: skip the Fraction round trip
     out = []
     for v in _normalize_tuple(xs, w):
         if v.denominator != 1:
@@ -125,12 +136,10 @@ def _integer_tuple(xs: Sequence[RationalLike], w: Weights) -> list[int]:
 
 def _wgcd_exponents(ints: Sequence[int], w: Weights) -> dict[int, int]:
     """Map p -> min_i floor(ord_p(x_i)/q_i) over primes with positive min."""
-    nonzero = [(abs(v), q) for v, q in zip(ints, w.q) if v != 0]
-    g = 0
-    for v, _ in nonzero:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     if g == 1:
         return {}
+    nonzero = [(v, q) for v, q in zip(ints, w.q) if v != 0]
     exponents: dict[int, int] = {}
     for p, _ in factorize(g).factors:
         e = min(ord_int(v, p) // q for v, q in nonzero)
@@ -212,9 +221,6 @@ def hwgcd_subscheme(x: "WPoint", y: Subscheme) -> LogValue:
     if wgcd(coords, x.weights) != 1:
         raise NotNormalized("point must have weighted gcd 1")
     values = y.values_at(coords)
-    if all(v == 0 for v in values):
+    if not any(values):
         raise PointOnSubscheme("every generator vanishes at the point")
-    for v in values:
-        if v.denominator != 1:
-            raise NonIntegralValue(f"generator value {v} is not an integer")
     return log_wgcd(values, y.gcd_weights)

@@ -88,7 +88,6 @@ def zeta_principal(
     f: WPolynomial,
     place: Place,
     mode: Mode = "paper",
-    allow_mixed: bool = False,
 ) -> LogValue:
     """Local height of the divisor of a nonzero regular form at one place.
 
@@ -97,7 +96,7 @@ def zeta_principal(
     mode.
     """
     _check_mode(mode)
-    if not allow_mixed and not is_homogeneous(f):
+    if not is_homogeneous(f):
         raise MixedDegree("principal divisor form must be weighted homogeneous")
     value = evaluate(f, x.coords)
     if value == 0:
@@ -114,17 +113,16 @@ def zeta_subscheme(
     y: Subscheme,
     place: Place,
     mode: Mode = "paper",
-    allow_mixed: bool = False,
 ) -> LogValue:
     """Min over generators of the principal local heights; generators
     vanishing at x contribute +infinity (they are skipped)."""
     _check_mode(mode)
-    values = y.values_at(x.coords)
+    values = y.rational_values_at(x.coords)
     candidates = []
     for g, value in zip(y.generators, values):
         if value == 0:
             continue
-        candidates.append(zeta_principal(x, g, place, mode, allow_mixed=allow_mixed))
+        candidates.append(zeta_principal(x, g, place, mode))
     if not candidates:
         raise PointOnSubscheme("every generator vanishes at the point")
     return min(candidates)
@@ -132,7 +130,7 @@ def zeta_subscheme(
 
 def _support_values(x: WPoint, spec: DivisorSpec) -> list[Fraction]:
     if spec.kind is DivisorKind.SUBSCHEME_MIN:
-        values = [v for v in spec.subscheme.values_at(x.coords) if v != 0]
+        values = [v for v in spec.subscheme.rational_values_at(x.coords) if v != 0]
         if not values:
             raise PointOnSubscheme("every generator vanishes at the point")
         return values
@@ -146,7 +144,6 @@ def global_sum(
     x: WPoint,
     spec: DivisorSpec,
     mode: Mode = "paper",
-    allow_mixed: bool = False,
 ) -> LogValue:
     """Sum of the local heights over every place that can contribute.
 
@@ -160,13 +157,9 @@ def global_sum(
     total = LogValue.zero()
     for place in places:
         if spec.kind is DivisorKind.SUBSCHEME_MIN:
-            total = total + zeta_subscheme(
-                x, spec.subscheme, place, mode, allow_mixed=allow_mixed
-            )
+            total = total + zeta_subscheme(x, spec.subscheme, place, mode)
         else:
-            total = total + zeta_principal(
-                x, spec.polynomial, place, mode, allow_mixed=allow_mixed
-            )
+            total = total + zeta_principal(x, spec.polynomial, place, mode)
     return total
 
 

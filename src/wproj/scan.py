@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from .arith import s_part
@@ -95,6 +96,13 @@ class ScanConfig:
     def r(self) -> int:
         return self.codim if self.codim is not None else len(self.subscheme.generators)
 
+    @cached_property
+    def row_constants(self) -> tuple[tuple[int, ...], float, float, frozenset[int]]:
+        """What every row reads: (weights q, float epsilon, the rhs
+        exponent 1/(q*(r-1+delta)), S)."""
+        exponent = 1.0 / (self.weights.qprod * (self.r - 1 + float(self.delta)))
+        return self.weights.q, float(self.epsilon), exponent, self.s_primes
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -159,18 +167,17 @@ def candidate_points(config: ScanConfig) -> Iterator[tuple[int, ...]]:
 
 
 def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None:
-    """One scan row, or None when every generator vanishes there."""
+    """One scan row, or None when every generator vanishes there.
+
+    ``point`` is a tuple of ints; every value stays an int up to lhs."""
     values = config.subscheme.values_at(point)
-    if all(v == 0 for v in values):
+    if not any(values):
         return None
     lhs = wgcd(values, config.subscheme.gcd_weights)
-    log_max = max(math.log(abs(v)) / q for v, q in zip(point, config.weights.q))
-    product = 1
-    for v in point:
-        product *= v
-    stripped = s_part(product, config.s_primes)
-    exponent = 1.0 / (config.weights.qprod * (config.r - 1 + float(config.delta)))
-    log_rhs = float(config.epsilon) * log_max + math.log(stripped) * exponent
+    weights_q, epsilon, exponent, s_primes = config.row_constants
+    log_max = max(math.log(abs(v)) / q for v, q in zip(point, weights_q))
+    stripped = s_part(math.prod(point), s_primes)
+    log_rhs = epsilon * log_max + math.log(stripped) * exponent
     rhs = math.exp(log_rhs)
     ratio = lhs / rhs
     return ScanRow(point, lhs, rhs, ratio, lhs > rhs)

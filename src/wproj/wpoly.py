@@ -9,13 +9,19 @@ Input grammar: terms like "3*x0^2*x1 - x2" with variables x0..xn and
 integer or rational ("3/4") coefficients; whitespace-insensitive.
 Canonical printing sorts terms by exponent tuple, descending
 lexicographically.
+
+Each polynomial caches its integer form: the lcm D of its coefficient
+denominators and the integer coefficients of D * f.  Values at integer
+points are computed from it in int arithmetic, with no Fraction built.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .arith import RationalLike, as_fraction
@@ -23,6 +29,7 @@ from .errors import (
     ArityMismatch,
     MixedDegree,
     NonIntegralExponent,
+    NonIntegralValue,
     ParseError,
     ZeroPolynomial,
 )
@@ -46,6 +53,7 @@ class _MixedMarker:
 MIXED = _MixedMarker()
 
 Term = tuple[Fraction, tuple[int, ...]]
+IntegerTerm = tuple[int, tuple[tuple[int, int], ...]]  # (a, ((i, e_i), ...))
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,20 @@ class WPolynomial:
         exps[index] = power
         return cls.from_terms([(coeff, exps)], weights)
 
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[IntegerTerm, ...]]:
+        """(D, terms) with D * f = sum_k a_k * prod_i x_i^e_i, integral.
+
+        D is the lcm of the coefficient denominators; each term holds its
+        integer coefficient a_k and the (i, e_i) pairs with e_i > 0.
+        """
+        d = math.lcm(*(c.denominator for c, _ in self.terms))
+        return d, tuple(
+            (c.numerator * (d // c.denominator),
+             tuple((i, e) for i, e in enumerate(exps) if e))
+            for c, exps in self.terms
+        )
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -138,10 +160,32 @@ def is_homogeneous(f: WPolynomial) -> bool:
     return weighted_degree(f) is not MIXED
 
 
+def _scaled_value(f: WPolynomial, xs: Sequence[int]) -> int:
+    """D * f(xs) at an integer tuple, from f's integer form."""
+    total = 0
+    for a, powers in f.integer_form[1]:
+        for i, e in powers:
+            a *= xs[i] ** e
+        total += a
+    return total
+
+
+def integer_value(f: WPolynomial, xs: Sequence[int]) -> int:
+    """f(xs) at an integer tuple of the right length, as an int; raises
+    NonIntegralValue when the value is not an integer."""
+    d = f.integer_form[0]
+    total = _scaled_value(f, xs)
+    if total % d:
+        raise NonIntegralValue(f"{Fraction(total, d)} is not an integer")
+    return total // d
+
+
 def evaluate(f: WPolynomial, xs: Sequence[RationalLike]) -> Fraction:
     """Exact value of f at a rational tuple."""
     if len(xs) != len(f.weights):
         raise ArityMismatch(f"expected {len(f.weights)} values, got {len(xs)}")
+    if all(type(x) is int for x in xs):
+        return Fraction(_scaled_value(f, xs), f.integer_form[0])
     xs = tuple(as_fraction(x) for x in xs)
     total = Fraction(0)
     for coeff, exps in f.terms:

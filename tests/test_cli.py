@@ -169,6 +169,24 @@ def test_scan_rejects_mixed_generators_without_gcd_weights(capsys):
     assert json.loads(err)["error"] == "mixed-degree"
 
 
+def test_scan_non_integral_generator_value(capsys):
+    # the first non-integral value in box order: 1/2*x1 - x0 at (-2,-1,-2)
+    code, out, err = run_cli(
+        capsys,
+        "vojta-scan",
+        "--weights", "(1,1,1)",
+        "--generators", "1/2*x1-x0;x2-x0",
+        "--epsilon", "1",
+        "--s-primes", "2",
+        "--domain", "box:2",
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "non-integral-value", "message": "3/2 is not an integer"
+    }
+
+
 def test_bad_place_is_parse_error(capsys):
     code, out, err = run_cli(
         capsys, "zeta", "[3:4]", "--weights", "(2,3)", "--divisor", "x0",

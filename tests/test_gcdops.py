@@ -156,6 +156,41 @@ def test_wgcd_matches_brute_force_sample():
             assert wgcd(xs, w) == brute_wgcd(xs, q)
 
 
+def test_wgcd_int_and_fraction_inputs_agree_on_oracle_tuples():
+    rng = random.Random(21)
+    for q in ((1, 2), (2, 3), (2, 3, 5)):
+        w = Weights(q)
+        for _ in range(150):
+            xs = tuple(rng.randint(-120, 120) for _ in range(len(q)))
+            if all(v == 0 for v in xs):
+                continue
+            fractions = tuple(Fraction(v) for v in xs)
+            mixed = (Fraction(xs[0]),) + xs[1:]
+            expected = brute_wgcd(xs, q)
+            assert wgcd(xs, w) == wgcd(fractions, w) == wgcd(mixed, w) == expected
+            assert log_wgcd(xs, w) == log_wgcd(fractions, w) == LogValue.of_rational(expected)
+
+
+@pytest.mark.parametrize("fn", [wgcd, log_wgcd])
+def test_wgcd_errors_for_int_mixed_and_fraction_inputs(fn):
+    for zeros in ((0, 0), (0, Fraction(0)), (Fraction(0), Fraction(0))):
+        with pytest.raises(AllZero):
+            fn(zeros, W23)
+    for long in ((1, 2, 3), (1, Fraction(2), 3), (Fraction(1), Fraction(2), Fraction(3))):
+        with pytest.raises(ArityMismatch):
+            fn(long, W23)
+    for rational, shown in (
+        ((Fraction(1, 2), 4), "1/2"),
+        ((4, Fraction(-3, 2)), "-3/2"),
+        ((Fraction(3), Fraction(5, 3)), "5/3"),
+    ):
+        with pytest.raises(NonIntegralValue) as info:
+            fn(rational, W23)
+        assert str(info.value) == f"{shown} is not an integer"
+    with pytest.raises(TypeError):
+        fn((1.0, 2), W23)
+
+
 def test_hwgcd_equals_gcd_for_unit_weights():
     rng = random.Random(27)
     for _ in range(100):
@@ -179,6 +214,27 @@ def test_subscheme_defaults_and_validation():
     assert mixed.has_mixed_generator()
     with pytest.raises(ArityMismatch):
         Subscheme((parse_polynomial("x1", w),), Weights.of(1, 1))
+
+
+def test_subscheme_values_at_is_integer_valued():
+    w = Weights.of(1, 1, 1)
+    y = Subscheme((
+        parse_polynomial("1/2*x1^2+1/2*x1*x0", w),
+        parse_polynomial("x2-x0", w),
+    ))
+    assert y.values_at((1, 4, 7)) == (10, 6)
+    assert all(type(v) is int for v in y.values_at((1, 4, 7)))
+    assert y.rational_values_at((1, 4, 7)) == (Fraction(10), Fraction(6))
+    assert y.rational_values_at((2, 1, 7)) == (Fraction(3, 2), Fraction(5))
+    with pytest.raises(NonIntegralValue) as info:
+        y.values_at((2, 1, 7))
+    assert str(info.value) == "3/2 is not an integer"
+    with pytest.raises(ArityMismatch):
+        y.values_at((1, 4))
+    assert y.values_at((Fraction(1), Fraction(4), Fraction(7))) == (10, 6)
+    with pytest.raises(NonIntegralValue) as info:
+        y.values_at((Fraction(1, 2), 4, 7))
+    assert str(info.value) == "1/2 is not an integer"
 
 
 def test_subscheme_combinations():

@@ -92,7 +92,6 @@ def test_zeta_rejects_mixed_without_override():
     x = WPoint.of((1, 2), w12)
     with pytest.raises(MixedDegree):
         zeta_principal(x, mixed, ARCHIMEDEAN)
-    assert zeta_principal(x, mixed, ARCHIMEDEAN, allow_mixed=True) is not None
 
 
 def test_global_sum_desk_case():
@@ -256,9 +255,7 @@ def test_subscheme_global_cross_check_against_hwgcd():
     finite_total = LogValue.zero()
     for place in relevant_places([1, 4, 7, 3, 6]):
         if place.is_finite:
-            finite_total = finite_total + zeta_subscheme(
-                x, y, place, allow_mixed=True
-            )
+            finite_total = finite_total + zeta_subscheme(x, y, place)
     # max_i |x_i|^{q_i} = 1 at finite places here, so zeta reduces to
     # (1/m) * ord_p(f_j(x)) and the min matches the floor-free part;
     # with unit weights the floors are trivial and the values agree

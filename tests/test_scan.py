@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+import wproj.gcdops
 from wproj.arith import s_part
 from wproj.errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
 from wproj.gcdops import Subscheme, wgcd
@@ -15,7 +17,7 @@ from wproj.scan import (
     vojta_scan,
 )
 from wproj.weights import Weights
-from wproj.wpoly import parse_polynomial
+from wproj.wpoly import evaluate, parse_polynomial
 
 W111 = Weights.of(1, 1, 1)
 
@@ -175,6 +177,61 @@ def test_sunit_row_exceptional_flag_matches_inequality():
     for row in vojta_scan(config).rows:
         assert row.exceptional == (row.lhs > row.rhs)
         assert row.ratio == pytest.approx(row.lhs / row.rhs)
+
+
+def test_sunit_scan_with_denominator_matches_fraction_reference():
+    # x1*(x1+x0)/2 is integral wherever x0 = 1, so the scan must accept it
+    config = make_config(
+        subscheme=Subscheme((
+            parse_polynomial("1/2*x1^2+1/2*x1*x0", W111),
+            parse_polynomial("x2-x0", W111),
+        )),
+        epsilon=Fraction(1, 2),
+        s_primes=frozenset({2}),
+        domain=SUnitGrid((2, 3), 60),
+    )
+    assert config.subscheme.generators[0].integer_form[0] == 2
+    expected = []
+    for tail in itertools.product(s_units((2, 3), 60), repeat=2):
+        point = (1,) + tail
+        exact = tuple(Fraction(v) for v in point)
+        values = tuple(evaluate(g, exact) for g in config.subscheme.generators)
+        if all(v == 0 for v in values):
+            continue
+        lhs = wgcd(values, config.subscheme.gcd_weights)
+        log_max = max(math.log(abs(v)) / q for v, q in zip(point, W111.q))
+        exponent = 1.0 / (W111.qprod * (config.r - 1 + float(config.delta)))
+        stripped = s_part(math.prod(point), {2})
+        rhs = math.exp(float(config.epsilon) * log_max + math.log(stripped) * exponent)
+        expected.append((point, lhs, rhs, lhs / rhs, lhs > rhs))
+    rows = [(r.point, r.lhs, r.rhs, r.ratio, r.exceptional) for r in vojta_scan(config).rows]
+    assert rows == expected
+    assert any(row[1] > 1 for row in rows) and any(row[4] for row in rows)
+
+
+def test_scan_never_evaluates_through_fractions(monkeypatch):
+    # the scan keeps values as ints: the Fraction evaluator and the
+    # Fraction normalization inside wgcd must not be reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan left the integer path")
+
+    monkeypatch.setattr(wproj.gcdops, "evaluate", refuse)
+    monkeypatch.setattr(wproj.gcdops, "_normalize_tuple", refuse)
+    box = vojta_scan(make_config(domain=BoxDomain.symmetric(3, 3)))
+    assert box.rows
+    w = Weights.of(1, 2, 3)
+    sunit = vojta_scan(ScanConfig(
+        weights=w,
+        subscheme=Subscheme(
+            (parse_polynomial("x1-x0", w), parse_polynomial("x2-x0", w)),
+            Weights.of(2, 3),
+        ),
+        epsilon=Fraction(1),
+        delta=Fraction(0),
+        s_primes=frozenset({2, 3}),
+        domain=SUnitGrid((2, 3), 50),
+    ))
+    assert sunit.rows
 
 
 def test_empty_domain():

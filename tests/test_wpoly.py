@@ -7,15 +7,18 @@ from wproj.errors import (
     ArityMismatch,
     MixedDegree,
     NonIntegralExponent,
+    NonIntegralValue,
     ParseError,
     ZeroPolynomial,
 )
+from wproj.gcdops import Subscheme
 from wproj.weights import Weights
 from wproj.wpoly import (
     MIXED,
     WPolynomial,
     dehomogenize_binary,
     evaluate,
+    integer_value,
     is_homogeneous,
     parse_polynomial,
     to_string,
@@ -48,6 +51,56 @@ def test_evaluate_is_exact():
     w = Weights.of(1, 1)
     f = parse_polynomial("1/3*x0 + x1", w)
     assert evaluate(f, (Fraction(1, 2), Fraction(1, 7))) == Fraction(1, 6) + Fraction(1, 7)
+
+
+def test_integer_form_clears_denominators_once():
+    w = Weights.of(1, 2)
+    f = parse_polynomial("1/2*x1^2 + 1/3*x0 - 5", w)
+    # 6 * f = 2*x0 + 3*x1^2 - 30, terms in canonical order, e_i = 0 dropped
+    assert f.integer_form == (6, ((2, ((0, 1),)), (3, ((1, 2),)), (-30, ())))
+    assert f.integer_form is f.integer_form
+    assert parse_polynomial("x1-x0^2", w).integer_form[0] == 1
+
+
+def _rand_rational_polynomial(rng, w):
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        coeff = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+        terms.append((coeff, tuple(rng.randint(0, 3) for _ in w.q)))
+    return WPolynomial.from_terms(terms, w)
+
+
+def test_integer_value_matches_evaluate_at_integer_points():
+    rng = random.Random(11)
+    integral = non_integral = 0
+    for q in ((1, 1), (1, 2, 3), (2, 3, 5)):
+        w = Weights(q)
+        for _ in range(60):
+            f = _rand_rational_polynomial(rng, w)
+            if f.is_zero():
+                continue
+            y = Subscheme((f,), Weights.of(1))
+            for _ in range(10):
+                point = tuple(rng.randint(-12, 12) for _ in q)
+                if not any(point):
+                    continue
+                exact = evaluate(f, tuple(Fraction(x) for x in point))
+                assert evaluate(f, point) == exact
+                assert type(evaluate(f, point)) is Fraction
+                if exact.denominator == 1:
+                    integral += 1
+                    value = integer_value(f, point)
+                    assert type(value) is int and value == exact
+                    assert y.values_at(point) == (value,)
+                else:
+                    non_integral += 1
+                    with pytest.raises(NonIntegralValue) as info:
+                        integer_value(f, point)
+                    with pytest.raises(NonIntegralValue) as info_y:
+                        y.values_at(point)
+                    message = f"{exact} is not an integer"
+                    assert str(info.value) == str(info_y.value) == message
+    assert integral > 500 and non_integral > 500
 
 
 def test_dehomogenize_binary_examples():
