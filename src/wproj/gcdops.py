@@ -36,7 +36,7 @@ from .errors import (
     PointOnSubscheme,
 )
 from .weights import Weights
-from .wpoly import MIXED, WPolynomial, evaluate, integer_value, weighted_degree
+from .wpoly import MIXED, WPolynomial, _integer_value, evaluate, weighted_degree
 
 if TYPE_CHECKING:  # only for annotations; points imports this module
     from .points import WPoint
@@ -110,7 +110,7 @@ class Subscheme:
         NonIntegralValue at the first coordinate or value that is not an
         integer."""
         coords = _integer_tuple(coords, self.ambient_weights)
-        return tuple([integer_value(g, coords) for g in self.generators])
+        return tuple([_integer_value(g, coords) for g in self.generators])
 
 
 def _normalize_tuple(xs: Sequence[RationalLike], w: Weights) -> list[Fraction]:

@@ -97,11 +97,13 @@ class ScanConfig:
         return self.codim if self.codim is not None else len(self.subscheme.generators)
 
     @cached_property
-    def row_constants(self) -> tuple[tuple[int, ...], float, float, frozenset[int]]:
-        """What every row reads: (weights q, float epsilon, the rhs
-        exponent 1/(q*(r-1+delta)), S)."""
-        exponent = 1.0 / (self.weights.qprod * (self.r - 1 + float(self.delta)))
-        return self.weights.q, float(self.epsilon), exponent, self.s_primes
+    def float_epsilon(self) -> float:
+        return float(self.epsilon)
+
+    @cached_property
+    def rhs_exponent(self) -> float:
+        """The exponent 1/(q*(r-1+delta)) of the prime-to-S part in rhs."""
+        return 1.0 / (self.weights.qprod * (self.r - 1 + float(self.delta)))
 
 
 @dataclass(frozen=True)
@@ -174,10 +176,9 @@ def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None
     if not any(values):
         return None
     lhs = wgcd(values, config.subscheme.gcd_weights)
-    weights_q, epsilon, exponent, s_primes = config.row_constants
-    log_max = max(math.log(abs(v)) / q for v, q in zip(point, weights_q))
-    stripped = s_part(math.prod(point), s_primes)
-    log_rhs = epsilon * log_max + math.log(stripped) * exponent
+    log_max = max(math.log(abs(v)) / q for v, q in zip(point, config.weights.q))
+    stripped = s_part(math.prod(point), config.s_primes)
+    log_rhs = config.float_epsilon * log_max + math.log(stripped) * config.rhs_exponent
     rhs = math.exp(log_rhs)
     ratio = lhs / rhs
     return ScanRow(point, lhs, rhs, ratio, lhs > rhs)

@@ -160,21 +160,15 @@ def is_homogeneous(f: WPolynomial) -> bool:
     return weighted_degree(f) is not MIXED
 
 
-def _scaled_value(f: WPolynomial, xs: Sequence[int]) -> int:
-    """D * f(xs) at an integer tuple, from f's integer form."""
+def _integer_value(f: WPolynomial, xs: Sequence[int]) -> int:
+    """f(xs) at an int tuple of f's arity, computed from f's integer form;
+    raises NonIntegralValue when the value is not an integer."""
+    d, terms = f.integer_form
     total = 0
-    for a, powers in f.integer_form[1]:
+    for a, powers in terms:
         for i, e in powers:
             a *= xs[i] ** e
         total += a
-    return total
-
-
-def integer_value(f: WPolynomial, xs: Sequence[int]) -> int:
-    """f(xs) at an integer tuple of the right length, as an int; raises
-    NonIntegralValue when the value is not an integer."""
-    d = f.integer_form[0]
-    total = _scaled_value(f, xs)
     if total % d:
         raise NonIntegralValue(f"{Fraction(total, d)} is not an integer")
     return total // d
@@ -184,8 +178,6 @@ def evaluate(f: WPolynomial, xs: Sequence[RationalLike]) -> Fraction:
     """Exact value of f at a rational tuple."""
     if len(xs) != len(f.weights):
         raise ArityMismatch(f"expected {len(f.weights)} values, got {len(xs)}")
-    if all(type(x) is int for x in xs):
-        return Fraction(_scaled_value(f, xs), f.integer_form[0])
     xs = tuple(as_fraction(x) for x in xs)
     total = Fraction(0)
     for coeff, exps in f.terms:
