@@ -148,10 +148,15 @@ def _wgcd_exponents(ints: Sequence[int], w: Weights) -> dict[int, int]:
     return exponents
 
 
+def _wgcd_value(ints: Sequence[int], w: Weights) -> int:
+    if w.m == 1:
+        return math.gcd(*ints)  # every weight is 1: the plain gcd, nothing to factor
+    return math.prod(p ** e for p, e in _wgcd_exponents(ints, w).items())
+
+
 def wgcd(xs: Sequence[RationalLike], w: Weights) -> int:
     """Weighted GCD of an integer tuple (not all zero)."""
-    exponents = _wgcd_exponents(_integer_tuple(xs, w), w)
-    return math.prod(p ** e for p, e in exponents.items())
+    return _wgcd_value(_integer_tuple(xs, w), w)
 
 
 def log_wgcd(xs: Sequence[RationalLike], w: Weights) -> LogValue:
@@ -163,9 +168,7 @@ def hwgcd(xs: Sequence[RationalLike], w: Weights) -> int:
     """Generalized weighted GCD of a rational tuple: finite places only,
     with the non-negative valuation part.  Always a positive integer,
     equal to the weighted GCD of the numerators."""
-    vals = _normalize_tuple(xs, w)
-    exponents = _wgcd_exponents([v.numerator for v in vals], w)
-    return math.prod(p ** e for p, e in exponents.items())
+    return _wgcd_value([v.numerator for v in _normalize_tuple(xs, w)], w)
 
 
 def log_hwgcd(

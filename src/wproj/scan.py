@@ -11,20 +11,22 @@ the scan compares
 with q the product of the weights and r the generator count (or an
 explicit codimension override).  Rows are deterministic: fixed
 enumeration order, no timestamps or randomness in the serialized
-output.  The domain is split into chunks evaluated by a pure function
-and merged in order, so chunks may safely run concurrently.
+output.  Every candidate goes through one pure function, in this
+process or in a process pool, and the rows come back in enumeration
+order either way, so the report is the same for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-import time
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from functools import cached_property, partial
+from typing import Iterator, Sequence, Union
 
 from .arith import s_part
 from .errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
@@ -123,7 +125,6 @@ class ScanReport:
     skipped_on_subscheme: int
     exceptional_count: int
     max_ratio: float | None
-    runtime_seconds: float  # in-memory only; never serialized
 
 
 def s_units(primes: Sequence[int], max_value: int) -> list[int]:
@@ -184,53 +185,28 @@ def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None
     return ScanRow(point, lhs, rhs, ratio, lhs > rhs)
 
 
-def _evaluate_chunk(args: tuple[ScanConfig, list[tuple[int, ...]]]) -> list[ScanRow | None]:
-    config, chunk = args
-    return [evaluate_point(config, point) for point in chunk]
-
-
-def _chunks(points: Iterable[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
-    chunk: list[tuple[int, ...]] = []
-    for point in points:
-        chunk.append(point)
-        if len(chunk) >= _CHUNK:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def vojta_scan(config: ScanConfig, workers: int = 1) -> ScanReport:
     """Tabulate the inequality over the configured domain.
 
-    Chunks are evaluated by a pure function and merged in enumeration
-    order, so the report is identical for any worker count.
+    With ``workers > 1`` the points are evaluated in a process pool of
+    at most ``os.cpu_count()`` processes; its map returns the rows in
+    enumeration order, so the report is identical for any worker count.
     """
-    started = time.perf_counter()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     total = 0
     skipped = 0
     rows: list[ScanRow] = []
-    chunk_iter = _chunks(candidate_points(config))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _evaluate_chunk, ((config, chunk) for chunk in chunk_iter)
-            )
-            for batch in results:
-                for row in batch:
-                    total += 1
-                    if row is None:
-                        skipped += 1
-                    else:
-                        rows.append(row)
-    else:
-        for chunk in chunk_iter:
-            for row in _evaluate_chunk((config, chunk)):
-                total += 1
-                if row is None:
-                    skipped += 1
-                else:
-                    rows.append(row)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool:
+        mapper = partial(pool.map, chunksize=_CHUNK) if workers > 1 else map
+        for row in mapper(evaluate_point, itertools.repeat(config), candidate_points(config)):
+            total += 1
+            if row is None:
+                skipped += 1
+            else:
+                rows.append(row)
     if total == 0:
         raise EmptyDomain("no candidate points in the configured domain")
     if not rows:
@@ -246,7 +222,6 @@ def vojta_scan(config: ScanConfig, workers: int = 1) -> ScanReport:
         skipped_on_subscheme=skipped,
         exceptional_count=exceptional,
         max_ratio=max_ratio,
-        runtime_seconds=time.perf_counter() - started,
     )
 
 
@@ -272,7 +247,6 @@ class AuditReport:
     zero_loghwgcd: int
     singular_points: int
     counterexamples: list[AuditRow]
-    runtime_seconds: float
 
 
 def _canonical_points(w: Weights, bound: int) -> Iterator[tuple[int, ...]]:
@@ -317,7 +291,6 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
     """
     if not w.is_well_formed():
         raise IllFormedWeights(f"weights {w} are not well-formed")
-    started = time.perf_counter()
     total = 0
     zero_count = 0
     singular_count = 0
@@ -348,5 +321,4 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
         zero_loghwgcd=zero_count,
         singular_points=singular_count,
         counterexamples=counterexamples,
-        runtime_seconds=time.perf_counter() - started,
     )

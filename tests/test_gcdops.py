@@ -191,6 +191,27 @@ def test_wgcd_errors_for_int_mixed_and_fraction_inputs(fn):
         fn((1.0, 2), W23)
 
 
+def test_unit_weight_wgcd_is_the_plain_gcd_without_factoring(monkeypatch):
+    import wproj.gcdops
+    from sympy import nextprime
+
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(wproj.gcdops, "factorize", no_factoring)
+    n = nextprime(10 ** 15) * nextprime(3 * 10 ** 15)  # 31 digits
+    assert wgcd((n, 2 * n), W11) == n
+    assert hwgcd((n, 2 * n), W11) == n
+    rng = random.Random(21)
+    for q in ((1, 2), (2, 3), (2, 3, 5)):
+        ones = Weights((1,) * len(q))
+        for _ in range(150):
+            xs = tuple(rng.randint(-120, 120) for _ in range(len(q)))
+            if all(v == 0 for v in xs):
+                continue
+            assert wgcd(xs, ones) == math.gcd(*xs) == brute_wgcd(xs, ones.q)
+
+
 def test_hwgcd_equals_gcd_for_unit_weights():
     rng = random.Random(27)
     for _ in range(100):

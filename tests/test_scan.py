@@ -1,11 +1,15 @@
 import itertools
+import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
 import wproj.gcdops
+import wproj.scan
 from wproj.arith import s_part
+from wproj.cli import main
 from wproj.errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
 from wproj.gcdops import Subscheme, wgcd
 from wproj.scan import (
@@ -129,9 +133,80 @@ def test_scan_serializations_are_byte_identical():
     assert "runtime" not in format_scan_json(first)
 
 
-def test_scan_workers_match_sequential():
-    config = make_config(domain=BoxDomain.symmetric(3, 3))
-    assert vojta_scan(config, workers=2).rows == vojta_scan(config).rows
+def test_scan_workers_match_sequential(monkeypatch):
+    # the README S-unit preset: more than two pool chunks, and (1,1,1)
+    # is skipped on the subscheme
+    w = Weights.of(1, 2, 3)
+    config = ScanConfig(
+        weights=w,
+        subscheme=Subscheme(
+            (parse_polynomial("x1-x0", w), parse_polynomial("x2-x0", w)),
+            Weights.of(2, 3),
+        ),
+        epsilon=Fraction(1),
+        delta=Fraction(0),
+        s_primes=frozenset({2, 3}),
+        domain=SUnitGrid((2, 3), 1_000_000),
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # run the pool on any machine
+    pooled = vojta_scan(config, workers=2)
+    serial = vojta_scan(config)
+    assert serial.total_candidates > 2 * wproj.scan._CHUNK
+    assert serial.skipped_on_subscheme == 1
+    assert pooled.rows == serial.rows
+    assert pooled.total_candidates == serial.total_candidates
+    assert pooled.skipped_on_subscheme == serial.skipped_on_subscheme
+    assert pooled.exceptional_count == serial.exceptional_count
+    assert pooled.max_ratio == serial.max_ratio
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replaces the process pool by one that records max_workers and
+    starts nothing; returns the recorded values."""
+    created = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(wproj.scan, "ProcessPoolExecutor", FakePool)
+    return created
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_scan_rejects_workers_below_one(fake_pool, capsys, workers):
+    with pytest.raises(ValueError):
+        vojta_scan(make_config(), workers=workers)
+    code = main([
+        "vojta-scan", "--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0",
+        "--domain", "box:2", "--workers", str(workers),
+    ])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "parse-error"
+    assert fake_pool == []
+
+
+def test_scan_pool_is_capped_at_cpu_count(fake_pool, monkeypatch):
+    config = make_config(domain=BoxDomain.symmetric(2, 3))
+    serial = vojta_scan(config)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert vojta_scan(config, workers=100_000).rows == serial.rows
+    assert vojta_scan(config, workers=2).rows == serial.rows
+    assert fake_pool == [3, 2]
+    for cpus in (1, None):  # one CPU, or an unknown count: no pool at all
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert vojta_scan(config, workers=100_000).rows == serial.rows
+    assert fake_pool == [3, 2]
 
 
 def test_sunit_grid_scan():
