@@ -15,8 +15,8 @@ weights).
 """
 
 from wproj.arith import relevant_places
+from wproj.gcdops import Subscheme
 from wproj.localheights import (
-    DivisorSpec,
     global_sum,
     height_discrepancy,
     zeta_principal,
@@ -36,11 +36,11 @@ for place in relevant_places([3, 4]):
     alt = float(zeta_principal(x, f, place, "alt"))
     print(f"{str(place):>6} | {paper:14.9f} | {alt:14.9f}")
 
-total = global_sum(x, DivisorSpec.principal(f), "paper")
+total = global_sum(x, Subscheme((f,)), "paper")
 print(f"\nglobal sum (paper) = {float(total):.12f}  (= log 2 exactly: "
       f"{total.coefficients()})")
 
-total_alt = global_sum(x, DivisorSpec.principal(f), "alt")
+total_alt = global_sum(x, Subscheme((f,)), "alt")
 print(f"global sum (alt)   = {float(total_alt):.12f}")
 
 print("\ndivisor height vs log weighted height (empirical gap):")

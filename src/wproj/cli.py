@@ -19,14 +19,13 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import ARCHIMEDEAN, LogValue, Place, is_prime
-from .errors import MixedDegree, ParseError, WProjError
+from .errors import ParseError, WProjError
 from .gcdops import Subscheme, hwgcd, log_hwgcd, log_wgcd, wgcd
 from .heights import wheight
 from .localheights import (
-    DivisorSpec,
     global_sum,
     zeta_hyperplane,  # unused here; perfbench/tracing.py rebinds this name
-    zeta_principal,
+    zeta_principal,  # unused here; perfbench/tracing.py rebinds this name
     zeta_subscheme,
 )
 from .points import normalization, parse_coords, parse_point, veronese
@@ -41,7 +40,7 @@ from .scan import (
 )
 from .singular import is_singular, singular_components
 from .weights import Weights, parse_weights, reduce, veronese_data
-from .wpoly import is_homogeneous, parse_polynomial
+from .wpoly import parse_polynomial
 
 
 def _rat(value) -> str:
@@ -231,30 +230,20 @@ def cmd_singular(args) -> int:
     return 0
 
 
-def _divisor_payload(args, w: Weights):
+def _divisor(args, w: Weights) -> Subscheme:
+    """--generators f1;f2;... or --divisor f, as one subscheme."""
     if args.generators:
-        gens = _parse_generators(args.generators, w)
-        if not all(is_homogeneous(g) for g in gens):
-            # rejected up front, not only when a mixed generator is
-            # nonzero at the point: the answer must not depend on the
-            # representative
-            raise MixedDegree("local heights need weighted homogeneous generators")
-        gcd_weights = parse_weights(args.gcd_weights) if args.gcd_weights else None
-        return DivisorSpec.subscheme_min(Subscheme(gens, gcd_weights))
+        return Subscheme(_parse_generators(args.generators, w))
     if not args.divisor:
         raise ParseError("need --divisor or --generators")
-    return DivisorSpec.principal(parse_polynomial(args.divisor, w))
+    return Subscheme((parse_polynomial(args.divisor, w),))
 
 
 def cmd_zeta(args) -> int:
     w = parse_weights(args.weights)
     x = parse_point(args.point, w)
     place = _parse_place(args.place)
-    spec = _divisor_payload(args, w)
-    if spec.subscheme is not None:
-        value = zeta_subscheme(x, spec.subscheme, place, args.metric)
-    else:
-        value = zeta_principal(x, spec.polynomial, place, args.metric)
+    value = zeta_subscheme(x, _divisor(args, w), place, args.metric)
     _emit({
         "point": str(x),
         "place": str(place),
@@ -268,8 +257,7 @@ def cmd_zeta(args) -> int:
 def cmd_global_height(args) -> int:
     w = parse_weights(args.weights)
     x = parse_point(args.point, w)
-    spec = _divisor_payload(args, w)
-    value = global_sum(x, spec, args.metric)
+    value = global_sum(x, _divisor(args, w), args.metric)
     _emit({
         "point": str(x),
         "metric": args.metric,
@@ -468,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_divisor_flags(p):
         p.add_argument("--divisor", help="a single form, e.g. 'x0'")
         p.add_argument("--generators", help="semicolon-separated forms")
-        p.add_argument("--gcd-weights", dest="gcd_weights")
         p.add_argument("--metric", choices=("paper", "alt"), default="paper")
 
     p = sub.add_parser("zeta", help="local height at one place")

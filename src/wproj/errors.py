@@ -72,10 +72,6 @@ class NotNormalized(WProjError):
     code = "not-normalized"
 
 
-class OnSupport(WProjError):
-    code = "on-support"
-
-
 class PointOnSubscheme(WProjError):
     code = "point-on-subscheme"
 

@@ -36,6 +36,7 @@ from .errors import (
     PointOnSubscheme,
 )
 from .weights import Weights
+# evaluate is unused here; perfbench/tracing.py rebinds this name
 from .wpoly import MIXED, WPolynomial, _integer_value, evaluate, weighted_degree
 
 if TYPE_CHECKING:  # only for annotations; points imports this module
@@ -100,10 +101,6 @@ class Subscheme:
                 gens.append(f * g)
                 gw.append(df + dg)
         return Subscheme(tuple(gens), Weights(tuple(gw)))
-
-    def rational_values_at(self, coords: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        """Exact generator values at a rational point."""
-        return tuple(evaluate(g, coords) for g in self.generators)
 
     def values_at(self, coords: Sequence[RationalLike]) -> tuple[int, ...]:
         """Generator values at an integral point, as ints; raises

@@ -1,63 +1,35 @@
 """Local weighted heights per place, and their sums over places.
 
-For a form f and a point x off its zero set, the local height at a
-place v is -(1/m) * log(|f(x)|_v / max_i |x_i|_v^{e_i}) where the
-denominator exponents are e_i = q_i ("paper" mode, the printed metric)
-or e_i = m/q_i ("alt" mode, the variant whose denominator is weighted
-homogeneous of degree m).  One form-based local height serves every
-divisor: a hyperplane section and a principal divisor are the same
-computation, and a subscheme takes the min over its generators.  Both
-|f(x)|_v and the denominator come from the max-term routine that the
+The local height of a closed subscheme Y = V(f_1, ..., f_k) at a
+place v and a point x off Y is
+
+    -(1/m) * log(max_j |f_j(x)|_v / max_i |x_i|_v^{e_i}),
+
+the min over j of the local heights of the divisors div(f_j)
+(Silverman's lambda_Y = min_j lambda_{div f_j}).  The denominator
+exponents are e_i = q_i ("paper" mode, the printed metric) or
+e_i = m/q_i ("alt" mode, the variant whose denominator is weighted
+homogeneous of degree m).  A principal divisor div(f), a hyperplane
+section included, is the one-generator case V(f), so one body serves
+every divisor.  Both maxima come from the max-term routine that the
 weighted height uses.  Values are exact LogValue sums; global heights
 sum over the finitely many places that can contribute.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .arith import LogValue, Place, relevant_places
-from .errors import MixedDegree, OnSupport, PointOnSubscheme
+from .errors import MixedDegree, PointOnSubscheme
 from .gcdops import Subscheme
 from .heights import max_term, max_term_exponent, wheight
 from .points import WPoint
 from .weights import Weights
-from .wpoly import WPolynomial, evaluate, is_homogeneous
+from .wpoly import WPolynomial, evaluate
 
 Mode = str  # "paper" | "alt"
-
-
-class DivisorKind(enum.Enum):
-    PRINCIPAL = "principal"
-    SUBSCHEME_MIN = "subscheme-min"
-
-
-@dataclass(frozen=True)
-class DivisorSpec:
-    """A divisor-like payload: a single form, or a subscheme min."""
-
-    kind: DivisorKind
-    polynomial: WPolynomial | None = None
-    subscheme: Subscheme | None = None
-
-    def __post_init__(self):
-        if self.kind is DivisorKind.SUBSCHEME_MIN:
-            if self.subscheme is None:
-                raise ValueError("SUBSCHEME_MIN needs a subscheme payload")
-        else:
-            if self.polynomial is None or self.polynomial.is_zero():
-                raise ValueError(f"{self.kind.value} needs a nonzero polynomial")
-
-    @classmethod
-    def principal(cls, f: WPolynomial) -> "DivisorSpec":
-        return cls(DivisorKind.PRINCIPAL, polynomial=f)
-
-    @classmethod
-    def subscheme_min(cls, y: Subscheme) -> "DivisorSpec":
-        return cls(DivisorKind.SUBSCHEME_MIN, subscheme=y)
 
 
 def _check_mode(mode: Mode) -> None:
@@ -83,29 +55,25 @@ def denominator_log(x: WPoint, place: Place, mode: Mode) -> LogValue:
     return _log_max_term(x.coords, _denominator_exponents(x.weights, mode), place)
 
 
-def zeta_principal(
-    x: WPoint,
-    f: WPolynomial,
-    place: Place,
-    mode: Mode = "paper",
-) -> LogValue:
-    """Local height of the divisor of a nonzero regular form at one place.
+def _generator_values(x: WPoint, y: Subscheme, mode: Mode) -> tuple[Fraction, ...]:
+    """The generator values at x, after every check on the inputs.
 
-    Any homogeneous form is accepted (a hyperplane section is the case of
-    a linear form); the printed formula is reproduced verbatim in paper
-    mode.
-    """
+    Mixed-degree generators are rejected before anything is evaluated,
+    so the answer does not depend on the representative of x."""
     _check_mode(mode)
-    if not is_homogeneous(f):
-        raise MixedDegree("principal divisor form must be weighted homogeneous")
-    value = evaluate(f, x.coords)
-    if value == 0:
-        raise OnSupport(f"the form vanishes at {x}")
-    value_log = _log_max_term((value,), (1,), place)
+    if y.has_mixed_generator():
+        raise MixedDegree("local heights need weighted homogeneous generators")
+    values = tuple(evaluate(g, x.coords) for g in y.generators)
+    if not any(values):
+        raise PointOnSubscheme("every generator vanishes at the point")
+    return values
+
+
+def _local_height(
+    x: WPoint, values: tuple[Fraction, ...], place: Place, mode: Mode
+) -> LogValue:
+    value_log = _log_max_term(values, (1,) * len(values), place)
     return Fraction(1, x.weights.m) * (denominator_log(x, place, mode) - value_log)
-
-
-zeta_hyperplane = zeta_principal
 
 
 def zeta_subscheme(
@@ -114,35 +82,27 @@ def zeta_subscheme(
     place: Place,
     mode: Mode = "paper",
 ) -> LogValue:
-    """Min over generators of the principal local heights; generators
-    vanishing at x contribute +infinity (they are skipped)."""
-    _check_mode(mode)
-    values = y.rational_values_at(x.coords)
-    candidates = []
-    for g, value in zip(y.generators, values):
-        if value == 0:
-            continue
-        candidates.append(zeta_principal(x, g, place, mode))
-    if not candidates:
-        raise PointOnSubscheme("every generator vanishes at the point")
-    return min(candidates)
+    """Local height of a subscheme at one place; generators vanishing at
+    x drop out of the max (they would contribute +infinity to the min)."""
+    return _local_height(x, _generator_values(x, y, mode), place, mode)
 
 
-def _support_values(x: WPoint, spec: DivisorSpec) -> list[Fraction]:
-    if spec.kind is DivisorKind.SUBSCHEME_MIN:
-        values = [v for v in spec.subscheme.rational_values_at(x.coords) if v != 0]
-        if not values:
-            raise PointOnSubscheme("every generator vanishes at the point")
-        return values
-    value = evaluate(spec.polynomial, x.coords)
-    if value == 0:
-        raise OnSupport(f"the form vanishes at {x}")
-    return [value]
+def zeta_principal(
+    x: WPoint,
+    f: WPolynomial,
+    place: Place,
+    mode: Mode = "paper",
+) -> LogValue:
+    """Local height of the divisor of a nonzero form: the subscheme V(f)."""
+    return zeta_subscheme(x, Subscheme((f,)), place, mode)
+
+
+zeta_hyperplane = zeta_principal
 
 
 def global_sum(
     x: WPoint,
-    spec: DivisorSpec,
+    y: Subscheme,
     mode: Mode = "paper",
 ) -> LogValue:
     """Sum of the local heights over every place that can contribute.
@@ -151,16 +111,9 @@ def global_sum(
     the numerator and the denominator have valuation 0, so the sum over
     the returned place set is the full sum over all places, exactly.
     """
-    _check_mode(mode)
-    values = _support_values(x, spec)
-    places = relevant_places([c for c in x.coords if c != 0] + values)
-    total = LogValue.zero()
-    for place in places:
-        if spec.kind is DivisorKind.SUBSCHEME_MIN:
-            total = total + zeta_subscheme(x, spec.subscheme, place, mode)
-        else:
-            total = total + zeta_principal(x, spec.polynomial, place, mode)
-    return total
+    values = _generator_values(x, y, mode)
+    places = relevant_places([v for v in x.coords + values if v != 0])
+    return sum((_local_height(x, values, place, mode) for place in places), LogValue.zero())
 
 
 def height_discrepancy(
@@ -174,6 +127,6 @@ def height_discrepancy(
     weights the printed metric and the height definition diverge; this
     helper exists to tabulate that gap, not to resolve it.
     """
-    total = float(global_sum(x, DivisorSpec.principal(form), mode))
+    total = float(global_sum(x, Subscheme((form,)), mode))
     lwh = wheight(x).lwh
     return total, lwh, total - lwh

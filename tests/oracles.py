@@ -2,11 +2,14 @@
 
 These deliberately avoid the library's valuation machinery: the wgcd
 oracle tests candidate divisors g directly by divisibility of g^{q_i},
-and the factorization oracle is plain trial division to sqrt(n).
+the factorization oracle is plain trial division to sqrt(n), and the
+local height oracle evaluates generators from their terms and takes
+p-adic orders by repeated division.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -100,8 +103,72 @@ class WgcdOracleTable:
         return acc.bit_length() - 1
 
 
-def rational_abs_log(r) -> float:
-    import math
+def _ord(r: Fraction, p: int) -> int:
+    """ord_p of a nonzero rational, by repeated division."""
+    num, den, e = r.numerator, r.denominator, 0
+    while num % p == 0:
+        num //= p
+        e += 1
+    while den % p == 0:
+        den //= p
+        e -= 1
+    return e
 
+
+def _value(terms, coords) -> Fraction:
+    """A polynomial given as (coefficient, exponents) terms, at a point."""
+    total = Fraction(0)
+    for c, exps in terms:
+        term = Fraction(c)
+        for x, e in zip(coords, exps):
+            term *= x ** e
+        total += term
+    return total
+
+
+def subscheme_local_height(coords, q, generators, place, mode) -> dict[int, Fraction]:
+    """-(1/m) log(max_j |f_j(x)|_v / max_i |x_i|_v^{e_i}) as {p: coefficient
+    of log p}, zero coefficients dropped.
+
+    ``generators`` are term lists, ``place`` is None for the archimedean
+    place or a prime, and e_i is q_i in "paper" mode, m/q_i in "alt".
+    The archimedean ratio is factored by trial division; at a prime the
+    max of the p-adic absolute values is read off the ord_p exponents.
+    """
+    coords = [Fraction(c) for c in coords]
+    m = math.lcm(*q)
+    exps = list(q) if mode == "paper" else [m // qi for qi in q]
+    values = [_value(terms, coords) for terms in generators]
+    if place is None:
+        ratio = max(abs(x) ** e for x, e in zip(coords, exps)) / max(abs(v) for v in values)
+        out = {p: Fraction(e, m) for p, e in trial_division(ratio.numerator)}
+        for p, e in trial_division(ratio.denominator):
+            out[p] = out.get(p, 0) - Fraction(e, m)
+    else:
+        den = max(-e * _ord(x, place) for x, e in zip(coords, exps) if x != 0)
+        num = max(-_ord(v, place) for v in values if v != 0)
+        out = {place: Fraction(den - num, m)}
+    return {p: c for p, c in out.items() if c != 0}
+
+
+def subscheme_global_height(coords, q, generators, mode) -> dict[int, Fraction]:
+    """The local heights summed over the archimedean place and every
+    prime dividing a numerator or denominator of a nonzero coordinate or
+    generator value (found by trial division); elsewhere both maxima
+    are 1."""
+    coords = [Fraction(c) for c in coords]
+    primes = set()
+    for r in coords + [_value(terms, coords) for terms in generators]:
+        if r != 0:
+            primes.update(p for p, _ in trial_division(r.numerator))
+            primes.update(p for p, _ in trial_division(r.denominator))
+    total: dict[int, Fraction] = {}
+    for place in [None, *sorted(primes)]:
+        for p, c in subscheme_local_height(coords, q, generators, place, mode).items():
+            total[p] = total.get(p, 0) + c
+    return {p: c for p, c in total.items() if c != 0}
+
+
+def rational_abs_log(r) -> float:
     r = Fraction(r)
     return math.log(abs(r.numerator)) - math.log(r.denominator)

@@ -153,7 +153,7 @@ def test_domain_error_exit_code(capsys):
         "--place", "2",
     )
     assert code == 3
-    assert json.loads(err)["error"] == "on-support"
+    assert json.loads(err)["error"] == "point-on-subscheme"
 
 
 def test_scan_rejects_mixed_generators_without_gcd_weights(capsys):
@@ -204,7 +204,7 @@ def test_local_heights_reject_mixed_generators_for_every_representative(
     # only at the first representative, so a lazy check would accept it
     code, out, err = run_cli(
         capsys, command[0], point, "--weights", "(2,3)",
-        "--generators", "x0+x1;x1", "--gcd-weights", "(1,3)", *command[1:],
+        "--generators", "x0+x1;x1", *command[1:],
     )
     assert code == 3
     assert out == ""
@@ -217,6 +217,10 @@ def test_local_heights_reject_mixed_generators_for_every_representative(
      "--kind", "hyperplane"),
     ("vojta-scan", "--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0",
      "--domain", "box:2", "--metric", "alt"),
+    ("zeta", "[3:4]", "--weights", "(2,3)", "--generators", "x0;x1", "--place", "3",
+     "--gcd-weights", "(2,3)"),
+    ("global-height", "[3:4]", "--weights", "(2,3)", "--generators", "x0;x1",
+     "--gcd-weights", "(2,3)"),
 ])
 def test_removed_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

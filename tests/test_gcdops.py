@@ -245,8 +245,6 @@ def test_subscheme_values_at_is_integer_valued():
     ))
     assert y.values_at((1, 4, 7)) == (10, 6)
     assert all(type(v) is int for v in y.values_at((1, 4, 7)))
-    assert y.rational_values_at((1, 4, 7)) == (Fraction(10), Fraction(6))
-    assert y.rational_values_at((2, 1, 7)) == (Fraction(3, 2), Fraction(5))
     with pytest.raises(NonIntegralValue) as info:
         y.values_at((2, 1, 7))
     assert str(info.value) == "3/2 is not an integer"

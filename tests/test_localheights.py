@@ -5,11 +5,9 @@ from fractions import Fraction
 import pytest
 
 from wproj.arith import ARCHIMEDEAN, LogValue, Place, relevant_places
-from wproj.errors import MixedDegree, OnSupport, PointOnSubscheme
+from wproj.errors import MixedDegree, PointOnSubscheme
 from wproj.gcdops import Subscheme
 from wproj.localheights import (
-    DivisorKind,
-    DivisorSpec,
     denominator_log,
     global_sum,
     height_discrepancy,
@@ -22,6 +20,7 @@ from wproj.weights import Weights
 from wproj.wpoly import WPolynomial, evaluate, parse_polynomial
 
 from helpers import rand_point
+from oracles import subscheme_global_height, subscheme_local_height
 
 W23 = Weights.of(2, 3)
 X34 = WPoint.of((3, 4), W23)
@@ -82,8 +81,24 @@ def test_zeta_principal_desk_cases():
 
 
 def test_zeta_on_support_raises():
-    with pytest.raises(OnSupport):
+    with pytest.raises(PointOnSubscheme):
         zeta_principal(WPoint.of((0, 1), W23), F_X0, Place(2))
+
+
+def test_mixed_generators_are_rejected_at_every_representative():
+    # x0+x1 is mixed in weights (2,3) and vanishes at [-1:1] but not at
+    # [-4:8], the same point; with explicit gcd weights the subscheme is
+    # valid, so only an up-front check answers alike at both
+    y = Subscheme(
+        (parse_polynomial("x0+x1", W23), parse_polynomial("x1", W23)), Weights.of(1, 3)
+    )
+    for coords in ((-1, 1), (-4, 8)):
+        x = WPoint.of(coords, W23)
+        for place in (ARCHIMEDEAN, Place(2)):
+            with pytest.raises(MixedDegree):
+                zeta_subscheme(x, y, place)
+        with pytest.raises(MixedDegree):
+            global_sum(x, y)
 
 
 def test_zeta_rejects_mixed_without_override():
@@ -95,12 +110,10 @@ def test_zeta_rejects_mixed_without_override():
 
 
 def test_global_sum_desk_case():
-    total = global_sum(X34, DivisorSpec.principal(F_X0), "paper")
+    total = global_sum(X34, Subscheme((F_X0,)), "paper")
     assert total == LogValue.of_rational(2)
     assert float(total) == pytest.approx(math.log(2))
-    assert global_sum(
-        WPoint.of((1, 1), W23), DivisorSpec.principal(F_X0)
-    ).is_zero()
+    assert global_sum(WPoint.of((1, 1), W23), Subscheme((F_X0,))).is_zero()
 
 
 def test_zeta_subscheme_single_generator_matches_principal():
@@ -280,7 +293,7 @@ def test_alt_mode_global_sum_is_the_weighted_height():
             f = rand_homogeneous(rng, w)
             if evaluate(f, x.coords) == 0:
                 continue
-            total = global_sum(x, DivisorSpec.principal(f), "alt")
+            total = global_sum(x, Subscheme((f,)), "alt")
             hv = wheight(x)
             assert w.m * total == LogValue.of_rational(hv.wh_pow_m)
             checked += 1
@@ -294,10 +307,72 @@ def test_height_discrepancy_reports_gap():
     assert gap == pytest.approx(math.log(2) - math.log(27) / 6)
 
 
-def test_divisor_spec_validation():
-    with pytest.raises(ValueError):
-        DivisorSpec(DivisorKind.PRINCIPAL)
-    with pytest.raises(ValueError):
-        DivisorSpec(DivisorKind.SUBSCHEME_MIN)
+def test_unknown_mode_is_rejected():
     with pytest.raises(ValueError):
         zeta_principal(X34, F_X0, Place(2), mode="other")
+    with pytest.raises(ValueError):
+        global_sum(X34, Subscheme((F_X0,)), mode="other")
+
+
+def _monomial(coords, exps):
+    return math.prod(c ** e for c, e in zip(coords, exps))
+
+
+def _oracle_generator(rng, w, coords, vanish):
+    """Terms of a random homogeneous form of weighted degree at most 6;
+    with ``vanish`` it is c1*M1 + c2*M2 with c2 chosen to kill it at
+    coords, when the degree has two monomials and M2 is nonzero there."""
+    degree = rng.choice([d for d in range(1, 7) if _monomials_of_degree(w, d)])
+    pool = _monomials_of_degree(w, degree)
+    chosen = rng.sample(pool, k=min(len(pool), rng.randint(1, 3)))
+    terms = [(Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.choice((1, 1, 2, 3))), e)
+             for e in chosen]
+    if vanish:
+        m1 = chosen[0]
+        others = [e for e in pool if e != m1 and _monomial(coords, e) != 0]
+        if others:
+            m2 = rng.choice(others)
+            c1 = terms[0][0]
+            terms = [(c1, m1), (-c1 * _monomial(coords, m1) / _monomial(coords, m2), m2)]
+    return terms
+
+
+def test_subscheme_local_heights_match_the_oracle():
+    # 1-3 generators per case, some vanishing at the point, against a
+    # Fraction and trial-division oracle at every relevant place and in sum
+    rng = random.Random(79)
+    extra = (Place(7), Place(11))
+    several = vanishing = on_subscheme = 0
+    for q in ((2, 3), (1, 2, 3), (2, 3, 5)):
+        w = Weights(q)
+        for i in range(60):
+            if i % 2:
+                x = rand_point(rng, w, num_bound=6, den_bound=4)
+            else:
+                x = rand_integral_point(rng, w, bound=12)
+            gens = [
+                _oracle_generator(rng, w, x.coords, vanish=rng.random() < 0.4)
+                for _ in range(rng.randint(1, 3))
+            ]
+            y = Subscheme(tuple(WPolynomial.from_terms(t, w) for t in gens))
+            values = [evaluate(g, x.coords) for g in y.generators]
+            for mode in ("paper", "alt"):
+                if not any(values):
+                    with pytest.raises(PointOnSubscheme):
+                        zeta_subscheme(x, y, ARCHIMEDEAN, mode)
+                    with pytest.raises(PointOnSubscheme):
+                        global_sum(x, y, mode)
+                    continue
+                nonzero = [v for v in values if v != 0]
+                places = relevant_places([c for c in x.coords if c != 0] + nonzero)
+                for place in places + [p for p in extra if p not in places]:
+                    expected = subscheme_local_height(
+                        x.coords, q, gens, place.prime if place.is_finite else None, mode
+                    )
+                    assert dict(zeta_subscheme(x, y, place, mode).coefficients()) == expected
+                expected = subscheme_global_height(x.coords, q, gens, mode)
+                assert dict(global_sum(x, y, mode).coefficients()) == expected
+            on_subscheme += not any(values)
+            vanishing += 0 in values and any(values)
+            several += len(values) - values.count(0) >= 2
+    assert several >= 40 and vanishing >= 10 and on_subscheme >= 1
