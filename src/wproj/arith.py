@@ -1,32 +1,146 @@
 """Exact valuation arithmetic over Q.
 
-Places of Q, integer factorization, p-adic valuations and their
-non-negative parts, prime-to-S parts, and exact formal sums of
-``c * log p`` terms.  Finite-place data stays in integers (valuation
-multiplicities); floating point appears only when a formal sum is
-collapsed to a real number.
+Places of Q, primality (BPSW), integer factorization (Pollard rho
+within a fixed budget) and n-th roots, all on the standard library;
+p-adic valuations and their non-negative parts, prime-to-S parts, and
+exact formal sums of ``c * log p`` terms.  Finite-place data stays in
+integers (valuation multiplicities); floating point appears only when a
+formal sum is collapsed to a real number.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Sequence, Union
 
-import sympy
-
-from .errors import ZeroInput
+from .errors import FactoringBudgetExceeded, ZeroInput
 
 RationalLike = Union[int, Fraction]
 
-#: trial division handles everything below this; sympy takes the cofactor
+#: trial division bound; the cofactor it leaves is prime below
+#: (_TRIAL_LIMIT + 1)**2, and only a larger one goes to is_prime and rho
 _TRIAL_LIMIT = 1 << 16
+#: rho steps per split; finding a prime factor p takes on the order of sqrt(p)
+_RHO_BUDGET = 1 << 20
+#: trial divisors and Miller-Rabin bases, exact below psi_13 (Sorenson-Webster)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    return sympy.isprime(n)
+    """Primality: exact below psi_13, BPSW (Baillie-Wagstaff 1980) above."""
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return n > 1
+    return _miller_rabin(n) and (n < _PSI_13 or _strong_lucas(n))
+
+
+def _miller_rabin(n: int) -> bool:
+    """Strong probable prime to every base in _SMALL_PRIMES (odd n > 41)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable prime with Selfridge's parameters: D the first
+    of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4 (odd n > 41)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else 2 - D
+    Q, inv2 = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k, Q^k mod n, from k = 1 up the bits of d = (n + 1) / 2^s
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * inv2 % n, (D * U + V) * inv2 % n, Qk * Q % n
+    for _ in range(s):  # U_d = 0, or V_(2^r d) = 0 for some r < s
+        if U == 0 or V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+def _rho_split(n: int) -> int:
+    """A proper factor of the odd composite n by Pollard rho with Brent's
+    cycle search (BIT 1980), within _RHO_BUDGET steps."""
+    steps = 0
+    for c in itertools.count(1):
+        y = r = g = 1
+        while g == 1:
+            if steps + r > _RHO_BUDGET:
+                raise FactoringBudgetExceeded(f"no factor of {n} in {_RHO_BUDGET} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            steps += r
+            r *= 2
+        if g != n:
+            return g
+
+
+def _large_prime_factors(n: int) -> list[int]:
+    """Prime factors, with multiplicity, of n > 1 free of primes <= _TRIAL_LIMIT."""
+    if n < (_TRIAL_LIMIT + 1) ** 2 or is_prime(n):
+        return [n]
+    d = _rho_split(n)
+    return _large_prime_factors(d) + _large_prime_factors(n // d)
+
+
+def integer_nthroot(x: int, n: int) -> tuple[int, bool]:
+    """(floor(x^(1/n)), whether it is exact) for x >= 0, n >= 1, by Newton."""
+    if x < 0 or n < 1:
+        raise ValueError(f"need x >= 0 and n >= 1, got x={x}, n={n}")
+    if x < 2:
+        return x, True
+    r = 1 << -(-x.bit_length() // n)  # 2^ceil(bits/n) > x^(1/n)
+    while True:
+        y = ((n - 1) * r + x // r ** (n - 1)) // n
+        if y >= r:
+            return r, r ** n == x
+        r = y
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -124,17 +238,18 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
             factors.append((p, e))
         p += step
         step = 6 - step  # alternate 5,7,11,13,... (6k +/- 1)
-    if n > 1:
-        if n < (_TRIAL_LIMIT + 1) ** 2:
-            factors.append((n, 1))  # no factor below the limit => prime
-        else:
-            rest = sympy.factorint(n)
-            factors.extend(sorted((int(p), int(e)) for p, e in rest.items()))
+    if n >= (_TRIAL_LIMIT + 1) ** 2:
+        factors.extend(Counter(_large_prime_factors(n)).items())
+    elif n > 1:
+        factors.append((n, 1))  # no factor up to the limit, so prime
     return tuple(sorted(factors))
 
 
 def factorize(n: int) -> Factorization:
-    """Exact prime factorization of a nonzero integer."""
+    """Exact prime factorization of a nonzero integer.
+
+    Raises FactoringBudgetExceeded when a cofactor with two prime
+    factors above about 2^32 outlasts the rho budget."""
     if n == 0:
         raise ZeroInput("cannot factorize 0")
     sign = 1 if n > 0 else -1

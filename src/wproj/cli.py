@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import ARCHIMEDEAN, LogValue, Place, is_prime
-from .errors import ParseError, WProjError
+from .errors import MixedDegree, ParseError, WProjError
 from .gcdops import Subscheme, hwgcd, log_hwgcd, log_wgcd, wgcd
 from .heights import wheight
 from .localheights import (
@@ -233,10 +233,16 @@ def cmd_singular(args) -> int:
 def _divisor(args, w: Weights) -> Subscheme:
     """--generators f1;f2;... or --divisor f, as one subscheme."""
     if args.generators:
-        return Subscheme(_parse_generators(args.generators, w))
-    if not args.divisor:
+        gens = _parse_generators(args.generators, w)
+    elif args.divisor:
+        gens = (parse_polynomial(args.divisor, w),)
+    else:
         raise ParseError("need --divisor or --generators")
-    return Subscheme((parse_polynomial(args.divisor, w),))
+    try:
+        return Subscheme(gens)
+    except MixedDegree:
+        # these commands take no gcd weights, so name none
+        raise MixedDegree("local heights need weighted homogeneous generators") from None
 
 
 def cmd_zeta(args) -> int:
@@ -360,10 +366,7 @@ def cmd_vojta_scan(args) -> int:
 def format_audit_csv(report: AuditReport) -> str:
     lines = ["point,log_hwgcd_zero,singular,counterexample"]
     for row in report.counterexamples:
-        lines.append(
-            f"{_point_str(row.point)},{str(row.log_hwgcd_zero).lower()},"
-            f"{str(row.singular).lower()},{str(row.counterexample).lower()}"
-        )
+        lines.append(f"{_point_str(row.point)},true,false,true")
     return "\n".join(lines) + "\n"
 
 
@@ -373,15 +376,15 @@ def format_audit_json(report: AuditReport) -> str:
         "bound": report.bound,
         "summary": {
             "points": report.total_points,
-            "zero_log_hwgcd": report.zero_loghwgcd,
+            "zero_log_hwgcd": report.total_points,  # all of them: see sing1_audit
             "singular": report.singular_points,
             "counterexamples": len(report.counterexamples),
         },
         "counterexamples": [
             {
                 "point": _point_str(row.point),
-                "log_hwgcd_zero": row.log_hwgcd_zero,
-                "singular": row.singular,
+                "log_hwgcd_zero": True,
+                "singular": False,
                 "valuations": [
                     {
                         "prime": p,

@@ -90,3 +90,7 @@ class EmptyDomain(WProjError):
 
 class DegenerateGenerators(WProjError):
     code = "degenerate-generators"
+
+
+class FactoringBudgetExceeded(WProjError):
+    code = "factoring-budget"

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
-from .arith import RationalLike, as_fraction
+from .arith import RationalLike, as_fraction, integer_nthroot
 from .errors import (
     AllZero,
     ArityMismatch,
@@ -147,14 +145,11 @@ def _rational_nth_roots(ratio: Fraction, n: int) -> list[Fraction]:
     """All rational solutions of lam^n = ratio (at most two)."""
     if n % 2 == 0 and ratio < 0:
         return []
-    num, den = abs(ratio.numerator), ratio.denominator
-    rnum, exact = sympy.integer_nthroot(num, n)
-    if not exact:
+    rnum, num_exact = integer_nthroot(abs(ratio.numerator), n)
+    rden, den_exact = integer_nthroot(ratio.denominator, n)
+    if not (num_exact and den_exact):
         return []
-    rden, exact = sympy.integer_nthroot(den, n)
-    if not exact:
-        return []
-    root = Fraction(int(rnum), int(rden))
+    root = Fraction(rnum, rden)
     if n % 2 == 1:
         return [root if ratio > 0 else -root]
     return [root, -root]

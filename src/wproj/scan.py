@@ -30,6 +30,7 @@ from typing import Iterator, Sequence, Union
 
 from .arith import s_part
 from .errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
+# log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, log_hwgcd, wgcd
 from .points import WPoint, sign_canon
 from .singular import is_singular
@@ -107,6 +108,14 @@ class ScanConfig:
         """The exponent 1/(q*(r-1+delta)) of the prime-to-S part in rhs."""
         return 1.0 / (self.weights.qprod * (self.r - 1 + float(self.delta)))
 
+    @cached_property
+    def exact_exponents(self) -> tuple[int, tuple[int, ...], int]:
+        """(D, (D*epsilon/q_i)_i, D/(q*(r-1+delta))): rhs^D in integer powers."""
+        coord = [self.epsilon / q for q in self.weights.q]
+        s_exp = 1 / (self.weights.qprod * (self.r - 1 + self.delta))
+        D = math.lcm(s_exp.denominator, *(e.denominator for e in coord))
+        return D, tuple(int(e * D) for e in coord), int(s_exp * D)
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -172,7 +181,9 @@ def candidate_points(config: ScanConfig) -> Iterator[tuple[int, ...]]:
 def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None:
     """One scan row, or None when every generator vanishes there.
 
-    ``point`` is a tuple of ints; every value stays an int up to lhs."""
+    ``point`` is a tuple of ints; every value stays an int up to lhs.
+    The floats decide lhs > rhs unless lhs / rhs is within 1e-9 of 1,
+    far above their rounding error; there lhs^D > rhs^D decides."""
     values = config.subscheme.values_at(point)
     if not any(values):
         return None
@@ -182,7 +193,13 @@ def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None
     log_rhs = config.float_epsilon * log_max + math.log(stripped) * config.rhs_exponent
     rhs = math.exp(log_rhs)
     ratio = lhs / rhs
-    return ScanRow(point, lhs, rhs, ratio, lhs > rhs)
+    if abs(ratio - 1.0) > 1e-9:
+        exceptional = lhs > rhs
+    else:
+        D, coord_exps, s_exp = config.exact_exponents
+        rhs_pow = max(abs(v) ** e for v, e in zip(point, coord_exps)) * stripped ** s_exp
+        exceptional = lhs ** D > rhs_pow
+    return ScanRow(point, lhs, rhs, ratio, exceptional)
 
 
 def vojta_scan(config: ScanConfig, workers: int = 1) -> ScanReport:
@@ -231,10 +248,9 @@ def vojta_scan(config: ScanConfig, workers: int = 1) -> ScanReport:
 
 @dataclass(frozen=True)
 class AuditRow:
+    """A counterexample: log hwgcd = 0 at a nonsingular point."""
+
     point: tuple[int, ...]
-    log_hwgcd_zero: bool
-    singular: bool
-    counterexample: bool
     valuations: tuple[tuple[int, tuple[int, ...], int], ...]
     # (prime, per-coordinate floor(nu+/q), min) for each contributing prime
 
@@ -244,7 +260,6 @@ class AuditReport:
     weights: Weights
     bound: int
     total_points: int
-    zero_loghwgcd: int
     singular_points: int
     counterexamples: list[AuditRow]
 
@@ -285,40 +300,29 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
     """Check "log hwgcd = 0 implies singular" on a coordinate box.
 
     Enumerates normalized integral points with coordinates bounded by
-    ``bound`` and reports every point where the implication fails, with
-    its per-prime valuation floors.  The report is exploratory: it
-    documents the implication's scope rather than assuming it.
+    ``bound`` and reports every nonsingular one, with its per-prime
+    valuation floors.  The report is exploratory: it documents the
+    implication's scope rather than assuming it.
+
+    Log hwgcd is 0 at every enumerated point, so it is not computed: the
+    point is integral with weighted GCD 1, so its finite part is log wgcd
+    = 0, and each archimedean term max(-log|x_i|, 0) is 0 as |x_i| >= 1.
     """
     if not w.is_well_formed():
         raise IllFormedWeights(f"weights {w} are not well-formed")
     total = 0
-    zero_count = 0
     singular_count = 0
     counterexamples: list[AuditRow] = []
     for point in _canonical_points(w, bound):
         total += 1
-        value = log_hwgcd(point, w, include_archimedean=True)
-        is_zero = value.is_zero()
-        singular = is_singular(WPoint.of(point, w))
-        if is_zero:
-            zero_count += 1
-        if singular:
+        if is_singular(WPoint.of(point, w)):
             singular_count += 1
-        if is_zero and not singular:
-            counterexamples.append(
-                AuditRow(
-                    point=point,
-                    log_hwgcd_zero=True,
-                    singular=False,
-                    counterexample=True,
-                    valuations=_valuation_table(point, w),
-                )
-            )
+        else:
+            counterexamples.append(AuditRow(point, _valuation_table(point, w)))
     return AuditReport(
         weights=w,
         bound=bound,
         total_points=total,
-        zero_loghwgcd=zero_count,
         singular_points=singular_count,
         counterexamples=counterexamples,
     )

@@ -1,23 +1,30 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from wproj.arith import (
     ARCHIMEDEAN,
     Factorization,
     LogValue,
     Place,
+    _strong_lucas,
     factorize,
+    integer_nthroot,
+    is_prime,
     ord_int,
     relevant_places,
     s_part,
     val,
     val_plus,
 )
-from wproj.errors import ZeroInput
+from wproj.errors import FactoringBudgetExceeded, ZeroInput
 
 from oracles import trial_division
 
@@ -52,6 +59,72 @@ def test_factorize_roundtrip(n):
 def test_factorize_zero():
     with pytest.raises(ZeroInput):
         factorize(0)
+
+
+# sympy is the independent oracle for the integer number theory
+
+PSI_13 = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to the first 13 prime bases
+
+
+def test_is_prime_matches_sympy_below_2_17():
+    assert [n for n in range(-3, 1 << 17) if is_prime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize("base", [1 << 32, 1 << 64, PSI_13, 1 << 100])
+def test_is_prime_matches_sympy_near(base):
+    rng = random.Random(base)
+    ns = [base + rng.randint(-10 ** 6, 10 ** 6) for _ in range(400)]
+    primes = [int(sympy.nextprime(n)) for n in ns[:8]]  # these pass Miller-Rabin
+    ns += primes + [p * q for p, q in zip(primes, primes[1:])]
+    assert [n for n in ns if is_prime(n) != sympy.isprime(n)] == []
+    assert all(is_prime(p) for p in primes)
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161, 1436697831295441, 60977817398996785,
+    3825123056546413051,  # strong pseudoprime to the bases 2 through 37
+    PSI_13,
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert sympy.isprime(n) is False
+    assert is_prime(n) is False
+
+
+def test_strong_lucas_matches_sympy():
+    # 5459, 5777, 10877, ... are strong Lucas pseudoprimes: composites it accepts
+    odd = [n for n in range(43, 60_000, 2) if math.isqrt(n) ** 2 != n]
+    assert [n for n in odd if _strong_lucas(n) != is_strong_lucas_prp(n)] == []
+    assert _strong_lucas(5459) and _strong_lucas(5777)
+
+
+def test_factorize_matches_sympy_on_products_of_large_primes():
+    rng = random.Random(6)
+    for _ in range(8):
+        primes = [int(sympy.nextprime(rng.randrange(1 << 16, 1 << rng.randint(17, 32))))
+                  for _ in range(rng.randint(2, 4))]
+        n = math.prod(primes) * rng.choice((1, primes[0], 12))
+        assert dict(factorize(n).factors) == sympy.factorint(n), primes
+
+
+def test_integer_nthroot_matches_sympy():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        root = rng.randint(0, 10 ** rng.randint(1, 30))
+        for x in (root ** n - 1, root ** n, root ** n + 1, rng.randint(0, 10 ** 40)):
+            if x >= 0:
+                assert integer_nthroot(x, n) == sympy.integer_nthroot(x, n), (x, n)
+
+
+def test_factoring_budget_raises_a_typed_error_quickly():
+    # two primes above 2^60: rho would need about 2^31 steps
+    n = (2 ** 61 - 1) * (2 ** 89 - 1)
+    start = time.perf_counter()
+    with pytest.raises(FactoringBudgetExceeded) as exc:
+        factorize(n)
+    assert time.perf_counter() - start < 10
+    assert (exc.value.code, exc.value.exit_code) == ("factoring-budget", 3)
 
 
 def test_place_validation_and_order():

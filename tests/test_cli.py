@@ -213,6 +213,21 @@ def test_local_heights_reject_mixed_generators_for_every_representative(
 
 
 @pytest.mark.parametrize("argv", [
+    ("zeta", "[1:1]", "--weights", "(2,3)", "--divisor", "x0+x1", "--place", "2"),
+    ("global-height", "[1:1]", "--weights", "(2,3)", "--divisor", "x0+x1"),
+])
+def test_local_heights_mixed_message_names_no_missing_option(capsys, argv):
+    # these commands take no gcd weights, so the error must not ask for them
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "mixed-degree",
+        "message": "local heights need weighted homogeneous generators",
+    }
+
+
+@pytest.mark.parametrize("argv", [
     ("zeta", "[3:4]", "--weights", "(2,3)", "--divisor", "x0", "--place", "3",
      "--kind", "hyperplane"),
     ("vojta-scan", "--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0",

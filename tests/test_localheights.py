@@ -19,44 +19,12 @@ from wproj.points import WPoint, normalize
 from wproj.weights import Weights
 from wproj.wpoly import WPolynomial, evaluate, parse_polynomial
 
-from helpers import rand_point
+from helpers import monomials_of_degree, rand_homogeneous, rand_integral_point, rand_point
 from oracles import subscheme_global_height, subscheme_local_height
 
 W23 = Weights.of(2, 3)
 X34 = WPoint.of((3, 4), W23)
 F_X0 = parse_polynomial("x0", W23)
-
-
-def rand_integral_point(rng, weights, bound=20):
-    while True:
-        coords = tuple(rng.randint(-bound, bound) for _ in range(len(weights)))
-        if any(c != 0 for c in coords):
-            return WPoint.of(coords, weights)
-
-
-def rand_homogeneous(rng, weights, degree_mult=1):
-    """Random homogeneous polynomial of weighted degree m * degree_mult."""
-    target = weights.m * degree_mult
-    exps_pool = _monomials_of_degree(weights, target)
-    chosen = rng.sample(exps_pool, k=min(len(exps_pool), rng.randint(1, 3)))
-    terms = [(Fraction(rng.randint(1, 9)), e) for e in chosen]
-    return WPolynomial.from_terms(terms, weights)
-
-
-def _monomials_of_degree(weights, degree):
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(weights.q) - 1:
-            if left % weights.q[i] == 0:
-                out.append(tuple(acc + [left // weights.q[i]]))
-            return
-        step = weights.q[i]
-        for e in range(left // step + 1):
-            rec(i + 1, left - e * step, acc + [e])
-
-    rec(0, degree, [])
-    return out
 
 
 def test_zeta_hyperplane_desk_case():
@@ -322,8 +290,8 @@ def _oracle_generator(rng, w, coords, vanish):
     """Terms of a random homogeneous form of weighted degree at most 6;
     with ``vanish`` it is c1*M1 + c2*M2 with c2 chosen to kill it at
     coords, when the degree has two monomials and M2 is nonzero there."""
-    degree = rng.choice([d for d in range(1, 7) if _monomials_of_degree(w, d)])
-    pool = _monomials_of_degree(w, degree)
+    degree = rng.choice([d for d in range(1, 7) if monomials_of_degree(w, d)])
+    pool = monomials_of_degree(w, degree)
     chosen = rng.sample(pool, k=min(len(pool), rng.randint(1, 3)))
     terms = [(Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.choice((1, 1, 2, 3))), e)
              for e in chosen]

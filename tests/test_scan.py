@@ -11,15 +11,18 @@ import wproj.scan
 from wproj.arith import s_part
 from wproj.cli import main
 from wproj.errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
-from wproj.gcdops import Subscheme, wgcd
+from wproj.gcdops import Subscheme, log_hwgcd, wgcd
 from wproj.scan import (
     BoxDomain,
     ScanConfig,
     SUnitGrid,
+    evaluate_point,
     s_units,
     sing1_audit,
     vojta_scan,
 )
+from wproj.points import WPoint
+from wproj.singular import is_singular
 from wproj.weights import Weights
 from wproj.wpoly import evaluate, parse_polynomial
 
@@ -254,6 +257,48 @@ def test_sunit_row_exceptional_flag_matches_inequality():
         assert row.ratio == pytest.approx(row.lhs / row.rhs)
 
 
+W112 = Weights.of(1, 1, 2)
+TIE_POINTS = [(-12, -12, 6), (-12, 6, 6), (-6, 12, -6), (6, -12, 6), (12, -6, -6), (12, 12, -6)]
+
+
+def tie_config(radius):
+    return ScanConfig(
+        weights=W112,
+        subscheme=Subscheme(
+            (parse_polynomial("x1-x0", W112), parse_polynomial("x2-x0", W112)),
+            Weights.of(1, 1),
+        ),
+        epsilon=Fraction(1, 2),
+        delta=Fraction(0),
+        s_primes=frozenset({2}),
+        domain=BoxDomain.symmetric(radius, 3),
+    )
+
+
+def exact_verdict(point, lhs):
+    """lhs > max(|x0|^(1/2), |x1|^(1/2), |x2|^(1/4)) * s^(1/2), with every
+    side raised to the 4th power."""
+    x0, x1, x2 = point
+    return lhs ** 4 > max(x0 ** 2, x1 ** 2, abs(x2)) * s_part(x0 * x1 * x2, {2}) ** 2
+
+
+@pytest.mark.parametrize("point", TIE_POINTS)
+def test_exact_tie_is_not_exceptional(point):
+    # lhs = rhs = 18 exactly; the float rhs once rounded below 18 here
+    row = evaluate_point(tie_config(12), point)
+    assert row.lhs == 18
+    x0, x1, x2 = point
+    assert 18 ** 4 == max(x0 ** 2, x1 ** 2, abs(x2)) * s_part(x0 * x1 * x2, {2}) ** 2
+    assert row.exceptional is False
+
+
+def test_box_scan_verdicts_are_exact():
+    report = vojta_scan(tie_config(12))
+    for row in report.rows:
+        assert row.exceptional == exact_verdict(row.point, row.lhs), row.point
+    assert set(TIE_POINTS) <= {row.point for row in report.rows}
+
+
 def test_sunit_scan_with_denominator_matches_fraction_reference():
     # x1*(x1+x0)/2 is integral wherever x0 = 1, so the scan must accept it
     config = make_config(
@@ -364,16 +409,25 @@ def test_codim_override_changes_rhs():
     assert r1.rhs > r2.rhs  # larger r shrinks the S-part exponent
 
 
+def _assert_log_hwgcd_vanishes(w, bound):
+    # the lemma that lets sing1_audit skip computing log hwgcd
+    points = list(wproj.scan._canonical_points(w, bound))
+    assert points
+    for point in points:
+        assert log_hwgcd(point, w, include_archimedean=True).is_zero(), point
+
+
 def test_sing1_audit_examples():
     report = sing1_audit(Weights.of(2, 3, 5), 3)
     points = {row.point for row in report.counterexamples}
     assert (1, 1, 1) in points
-    assert report.total_points == report.zero_loghwgcd
-    # every counterexample is zero-log-hwgcd and nonsingular
+    _assert_log_hwgcd_vanishes(Weights.of(2, 3, 5), 3)
+    # every counterexample is nonsingular
     for row in report.counterexamples:
-        assert row.log_hwgcd_zero and not row.singular and row.counterexample
+        assert not is_singular(WPoint.of(row.point, Weights.of(2, 3, 5)))
 
     flat = sing1_audit(Weights.of(1, 1), 5)
+    _assert_log_hwgcd_vanishes(Weights.of(1, 1), 5)
     # all points nonsingular, all have log hwgcd 0: everything is reported
     assert flat.singular_points == 0
     assert len(flat.counterexamples) == flat.total_points
