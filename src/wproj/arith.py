@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Sequence, Union
 
-from .errors import FactoringBudgetExceeded, ZeroInput
+from .errors import ComparisonBudgetExceeded, FactoringBudgetExceeded, ZeroInput
 
 RationalLike = Union[int, Fraction]
 
@@ -30,6 +30,10 @@ _RHO_BUDGET = 1 << 20
 #: trial divisors and Miller-Rabin bases, exact below psi_13 (Sorenson-Webster)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3_317_044_064_679_887_385_961_981
+#: bits the two integer products of an exact LogValue sign may hold together
+_SIGN_BUDGET = 1 << 20
+#: relative margin past which the float sum decides a LogValue sign
+_SIGN_MARGIN = 1e-9
 
 
 def is_prime(n: int) -> bool:
@@ -296,13 +300,17 @@ def val_plus(r: RationalLike, place: Place) -> int | float:
 
 
 def s_part(n: int, s_primes: Iterable[int]) -> int:
-    """Prime-to-S part of |n|: strip every factor of a prime in S."""
+    """Prime-to-S part of |n|: strip every factor of a prime in S.
+
+    g holds the primes of S that still divide n; squaring it each round
+    strips an exponent e in about log2(e) rounds."""
     if n == 0:
         raise ZeroInput("the prime-to-S part of 0 is undefined")
     n = abs(n)
-    for p in set(s_primes):
-        while n % p == 0:
-            n //= p
+    g = math.gcd(n, math.prod(s_primes))
+    while g > 1:
+        n //= g
+        g = math.gcd(n, g * g)
     return n
 
 
@@ -338,8 +346,9 @@ class LogValue:
     Coefficients are Fractions; any log of a nonzero rational decomposes
     into such a sum, so local-height values and log-GCDs can be added,
     scaled, compared, and tested for equality with no floating point.
-    Comparisons are exact: sign(sum c_p log p) is decided by comparing
-    the integer products prod p^(c_p * L) for a common denominator L.
+    Comparisons are exact: sign(sum c_p log p) is decided by the float
+    sum when it is far from 0, and otherwise by comparing the integer
+    products prod p^(c_p * L) for a common denominator L (see _sign).
     """
 
     __slots__ = ("_coeffs",)
@@ -405,13 +414,38 @@ class LogValue:
         return sum((float(c) * math.log(p) for p, c in self._coeffs.items()), 0.0)
 
     def _sign(self) -> int:
-        """Exact sign of the represented real number."""
+        """Exact sign of the represented real number.
+
+        The float sum s of the k terms c_p * log p decides when |s| exceeds
+        max(_SIGN_MARGIN, (k + 4) * 2^-52) * A, A the sum of their absolute
+        values: with no subnormal float(c_p), each term is off by at most
+        4 * 2^-53 relative (float(c_p), math.log within one ulp, the product)
+        and the summation adds (k - 1) * 2^-53 * A, so |s - sum c_p log p|
+        <= (k + 3) * 2^-53 * A * (1 + O(k * 2^-53)).  Otherwise the products
+        prod p^(c_p * L), L a common denominator, are compared on integers,
+        or ComparisonBudgetExceeded is raised past _SIGN_BUDGET bits."""
         if not self._coeffs:
             return 0
+        try:
+            floats = [(float(c), math.log(p)) for p, c in self._coeffs.items()]
+        except OverflowError:  # a coefficient beyond the float range
+            floats = []
+        if floats and min(abs(fc) for fc, _ in floats) >= 2.0 ** -1000:
+            terms = [fc * log_p for fc, log_p in floats]
+            total, size = sum(terms), sum(map(abs, terms))
+            margin = max(_SIGN_MARGIN, (len(terms) + 4) * 2.0 ** -52)
+            if abs(total) > margin * size:  # never true on an inf or a nan
+                return 1 if total > 0 else -1
         denom_lcm = math.lcm(*(c.denominator for c in self._coeffs.values()))
+        exps = [(p, int(c * denom_lcm)) for p, c in self._coeffs.items()]
+        bits = sum(abs(e) * p.bit_length() for p, e in exps)
+        if bits > _SIGN_BUDGET:
+            raise ComparisonBudgetExceeded(
+                f"deciding the sign of {self!r} needs {bits}-bit products, "
+                f"above the budget of {_SIGN_BUDGET} bits"
+            )
         num = den = 1
-        for p, c in self._coeffs.items():
-            e = int(c * denom_lcm)
+        for p, e in exps:
             if e > 0:
                 num *= p ** e
             else:

@@ -370,8 +370,20 @@ def format_audit_csv(report: AuditReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """Rendered JSON values as a list at this depth, laid out as indent=2 does."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
 def format_audit_json(report: AuditReport) -> str:
-    record = {
+    """The audit record, byte for byte as ``json.dumps(record, indent=2)``,
+    whose pure-Python encoder writes only the fixed-size head here; the
+    counterexamples hold ints, constants, "inf" and point strings, so a
+    template needs no escaping."""
+    head = json.dumps({
         "weights": str(report.weights),
         "bound": report.bound,
         "summary": {
@@ -380,24 +392,21 @@ def format_audit_json(report: AuditReport) -> str:
             "singular": report.singular_points,
             "counterexamples": len(report.counterexamples),
         },
-        "counterexamples": [
-            {
-                "point": _point_str(row.point),
-                "log_hwgcd_zero": True,
-                "singular": False,
-                "valuations": [
-                    {
-                        "prime": p,
-                        "floors": [f if f >= 0 else "inf" for f in floors],
-                        "min": minimum,
-                    }
-                    for p, floors, minimum in row.valuations
-                ],
-            }
-            for row in report.counterexamples
-        ],
-    }
-    return json.dumps(record, indent=2) + "\n"
+    }, indent=2)
+    rows = []
+    for row in report.counterexamples:
+        valuations = [
+            f'{{\n          "prime": {p},\n          "floors": '
+            + _json_list([str(f) if f >= 0 else '"inf"' for f in floors], 5)
+            + f',\n          "min": {minimum}\n        }}'
+            for p, floors, minimum in row.valuations
+        ]
+        rows.append(
+            f'{{\n      "point": "{_point_str(row.point)}",\n'
+            '      "log_hwgcd_zero": true,\n      "singular": false,\n'
+            f'      "valuations": {_json_list(valuations, 3)}\n    }}'
+        )
+    return f'{head[:-2]},\n  "counterexamples": {_json_list(rows, 1)}\n}}\n'
 
 
 def cmd_sing1_audit(args) -> int:

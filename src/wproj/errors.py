@@ -94,3 +94,7 @@ class DegenerateGenerators(WProjError):
 
 class FactoringBudgetExceeded(WProjError):
     code = "factoring-budget"
+
+
+class ComparisonBudgetExceeded(WProjError):
+    code = "comparison-budget"

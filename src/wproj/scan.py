@@ -32,6 +32,7 @@ from .arith import s_part
 from .errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, log_hwgcd, wgcd
+# sign_canon is unused here; perfbench/tracing.py rebinds this name
 from .points import WPoint, sign_canon
 from .singular import is_singular
 from .weights import Weights
@@ -265,15 +266,20 @@ class AuditReport:
 
 
 def _canonical_points(w: Weights, bound: int) -> Iterator[tuple[int, ...]]:
-    """Normalized integral representatives with |x_i| <= bound: weighted
-    GCD 1 and the odd-weight sign canon, in lexicographic order."""
+    """Normalized integral representatives with |x_i| <= bound, in
+    lexicographic order: the sign canon of points.sign_canon, tested on
+    the int tuple first (the first nonzero odd-weight coordinate is
+    positive), then weighted GCD 1."""
+    odd = [i for i, q in enumerate(w.q) if q % 2 == 1]
     for point in itertools.product(range(-bound, bound + 1), repeat=len(w)):
-        if all(v == 0 for v in point):
+        negative = False
+        for i in odd:
+            if point[i]:
+                negative = point[i] < 0
+                break
+        if negative:
             continue
-        if wgcd(point, w) != 1:
-            continue
-        wpoint = WPoint.of(point, w)
-        if sign_canon(wpoint).coords != wpoint.coords:
+        if not any(point) or wgcd(point, w) != 1:
             continue
         yield point
 
@@ -307,15 +313,22 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
     Log hwgcd is 0 at every enumerated point, so it is not computed: the
     point is integral with weighted GCD 1, so its finite part is log wgcd
     = 0, and each archimedean term max(-log|x_i|, 0) is 0 as |x_i| >= 1.
+    Singularity depends only on the support, so ``is_singular`` runs once
+    per support (at most 2^n - 1 times) and its answer is reused.
     """
     if not w.is_well_formed():
         raise IllFormedWeights(f"weights {w} are not well-formed")
     total = 0
     singular_count = 0
     counterexamples: list[AuditRow] = []
+    by_support: dict[tuple[bool, ...], bool] = {}
     for point in _canonical_points(w, bound):
         total += 1
-        if is_singular(WPoint.of(point, w)):
+        support = tuple(map(bool, point))
+        singular = by_support.get(support)
+        if singular is None:
+            singular = by_support[support] = is_singular(WPoint.of(point, w))
+        if singular:
             singular_count += 1
         else:
             counterexamples.append(AuditRow(point, _valuation_table(point, w)))

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
+from wproj import arith
 from wproj.arith import (
     ARCHIMEDEAN,
     Factorization,
@@ -24,7 +25,7 @@ from wproj.arith import (
     val,
     val_plus,
 )
-from wproj.errors import FactoringBudgetExceeded, ZeroInput
+from wproj.errors import ComparisonBudgetExceeded, FactoringBudgetExceeded, ZeroInput
 
 from oracles import trial_division
 
@@ -176,6 +177,25 @@ def test_s_part_complement(n):
     assert all(p in (2, 3, 5) for p, _ in factorize(cofactor).factors)
 
 
+def _strip_by_trial_division(n, s_primes):
+    n = abs(n)
+    for p in s_primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
+@pytest.mark.parametrize("s_primes", [(), (2,), (2, 3), (3, 5, 7), (2, 3, 5, 7, 11, 13), (199_999,)])
+def test_s_part_matches_trial_division(s_primes):
+    s = frozenset(s_primes)
+    for n in range(1, 200_000):
+        assert s_part(n, s) == s_part(-n, s) == _strip_by_trial_division(n, s_primes), n
+    big = -(2 ** 300) * 3 ** 200 * 5 * 7 ** 3 * 199_999 ** 2 * 1_000_003
+    assert s_part(big, s) == _strip_by_trial_division(big, s_primes)
+    with pytest.raises(ZeroInput):
+        s_part(0, s)
+
+
 def test_relevant_places_examples():
     assert relevant_places([1, 1]) == [ARCHIMEDEAN]
     assert relevant_places([3, 4]) == [ARCHIMEDEAN, Place(2), Place(3)]
@@ -241,3 +261,79 @@ def test_ord_int():
     assert ord_int(-48, 3) == 1
     with pytest.raises(ZeroInput):
         ord_int(0, 2)
+
+
+def _integer_sign(value):
+    # the comparison LogValue used before the float test: always on integers
+    coeffs = dict(value.coefficients())
+    if not coeffs:
+        return 0
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs.values()))
+    num = den = 1
+    for p, c in coeffs.items():
+        e = int(c * denom_lcm)
+        if e > 0:
+            num *= p ** e
+        else:
+            den *= p ** (-e)
+    return (num > den) - (num < den)
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+def test_logvalue_compare_of_large_coefficients_is_quick():
+    # the integer comparison built 10^7-bit products here (about 2 s)
+    start = time.perf_counter()
+    assert not LogValue({2: 10 ** 7}) < LogValue({3: 6 * 10 ** 6})
+    assert LogValue({3: 6 * 10 ** 6}) < LogValue({2: 10 ** 7})
+    assert time.perf_counter() - start < 0.1
+
+
+def test_logvalue_order_matches_the_integer_comparison():
+    rng = random.Random(20261018)
+    primes = (2, 3, 5, 7, 11, 13)
+    small = [LogValue.zero()]
+    for _ in range(200):
+        small.append(LogValue({
+            p: Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+            for p in rng.sample(primes, rng.randint(1, 4))
+        }))
+    # near ties with integer coefficients: 2^7 against 5^3, and the
+    # convergents b/a of log_2 3 (3^a against 2^b)
+    near = [LogValue({2: 7}), LogValue({5: 3})]
+    for a, b in ((12, 19), (306, 485), (665, 1054), (15601, 24727), (31867, 50508),
+                 (79335, 125743)):
+        near += [LogValue({3: a}), LogValue({2: b}), LogValue({3: a, 5: 1})]
+    for values, draws in ((small, 40), (near, len(near))):
+        for a in values:
+            for b in rng.sample(values, draws):
+                assert _cmp(a, b) == _integer_sign(a - b), (a, b)
+    # coefficients too small for a normal float are left to the integers
+    tiny = Fraction(1, 10 ** 400)
+    assert LogValue({2: tiny}) > LogValue.zero()
+    assert LogValue({2: tiny}) < LogValue({3: tiny})
+
+
+def test_logvalue_near_tie_is_decided_on_integers():
+    # 24727/15601 is a convergent of log_2 3: the float sum is inside
+    # the margin, so the integers decide
+    three, two = LogValue({3: 15601}), LogValue({2: 24727})
+    gap = 15601 * math.log(3) - 24727 * math.log(2)
+    total = 15601 * math.log(3) + 24727 * math.log(2)
+    assert abs(gap) <= arith._SIGN_MARGIN * total
+    assert 3 ** 15601 < 2 ** 24727
+    assert three < two and two > three and not two < three
+
+
+def test_logvalue_sign_past_the_budget_raises_a_typed_error():
+    start = time.perf_counter()
+    with pytest.raises(ComparisonBudgetExceeded) as exc:
+        LogValue({3: 15601 * 10 ** 9}) < LogValue({2: 24727 * 10 ** 9})
+    assert time.perf_counter() - start < 0.1
+    assert (exc.value.code, exc.value.exit_code) == ("comparison-budget", 3)
+    assert f"{arith._SIGN_BUDGET} bits" in str(exc.value)
+    # a huge coefficient beyond the float range is not decided by floats either
+    with pytest.raises(ComparisonBudgetExceeded):
+        LogValue({2: 10 ** 400, 3: -(10 ** 400)}) < LogValue.zero()

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from wproj.cli import main
+from wproj.cli import format_audit_json, main
+from wproj.scan import AuditReport, AuditRow, sing1_audit
+from wproj.weights import Weights
 
 
 def run_cli(capsys, *args):
@@ -136,6 +138,52 @@ def test_sing1_audit_command(capsys):
     assert record["summary"]["points"] > 0
     points = [c["point"] for c in record["counterexamples"]]
     assert "[1:1:1]" in points
+
+
+def _audit_record(report):
+    # the record format_audit_json lays out, as json.dumps(indent=2) would
+    return {
+        "weights": str(report.weights),
+        "bound": report.bound,
+        "summary": {
+            "points": report.total_points,
+            "zero_log_hwgcd": report.total_points,
+            "singular": report.singular_points,
+            "counterexamples": len(report.counterexamples),
+        },
+        "counterexamples": [
+            {
+                "point": "[" + ":".join(str(v) for v in row.point) + "]",
+                "log_hwgcd_zero": True,
+                "singular": False,
+                "valuations": [
+                    {
+                        "prime": p,
+                        "floors": [f if f >= 0 else "inf" for f in floors],
+                        "min": minimum,
+                    }
+                    for p, floors, minimum in row.valuations
+                ],
+            }
+            for row in report.counterexamples
+        ],
+    }
+
+
+def test_audit_json_matches_the_json_module():
+    reports = [sing1_audit(Weights.of(*q), bound) for q, bound in (
+        ((2, 3, 5), 4), ((1, 4, 6, 9), 2), ((1,), 3), ((2, 3), 6), ((1, 1), 0),
+    )]
+    reports.append(AuditReport(Weights.of(1, 1), 9, 5, 2, [
+        AuditRow((-1, 1), ()),  # empty valuations
+        AuditRow((0, 97), ((97, (-1, 1), 1),)),
+        AuditRow((12, -18), ((2, (2, 1), 1), (3, (1, 2), 1))),
+    ]))
+    assert reports[-2].counterexamples == []
+    assert any(not row.valuations for row in reports[0].counterexamples)
+    for report in reports:
+        expected = json.dumps(_audit_record(report), indent=2) + "\n"
+        assert format_audit_json(report) == expected
 
 
 def test_parse_error_exit_code(capsys):

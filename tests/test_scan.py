@@ -21,7 +21,7 @@ from wproj.scan import (
     sing1_audit,
     vojta_scan,
 )
-from wproj.points import WPoint
+from wproj.points import WPoint, normalize, sign_canon
 from wproj.singular import is_singular
 from wproj.weights import Weights
 from wproj.wpoly import evaluate, parse_polynomial
@@ -449,3 +449,60 @@ def test_sing1_audit_determinism():
         r.point for r in second.counterexamples
     ]
     assert first.counterexamples == second.counterexamples
+
+
+AUDIT_WEIGHTS = [(2, 3, 5), (2, 5, 3), (1, 1), (1, 2, 3), (1, 1, 1, 1), (1, 4, 6, 9)]
+
+
+def _canonical_points_oracle(w, bound):
+    # a tuple is canonical when normalize, through WPoint and sign_canon,
+    # fixes it (sign_canon first only to skip normalize on half the tuples)
+    out = []
+    for point in itertools.product(range(-bound, bound + 1), repeat=len(w)):
+        if any(point):
+            x = WPoint.of(point, w)
+            if sign_canon(x) == x and normalize(x).coords == x.coords:
+                out.append(point)
+    return out
+
+
+@pytest.mark.parametrize("q", AUDIT_WEIGHTS)
+def test_canonical_points_match_normalize(q):
+    w = Weights.of(*q)
+    expected = _canonical_points_oracle(w, 6)
+    for bound in range(7):
+        # the box of radius bound keeps the lexicographic order of the larger box
+        in_box = [p for p in expected if max(map(abs, p)) <= bound]
+        assert list(wproj.scan._canonical_points(w, bound)) == in_box, bound
+
+
+@pytest.mark.parametrize("q", AUDIT_WEIGHTS)
+def test_sing1_audit_singularity_per_point(q):
+    # the audit tests singularity once per support; test it at every point
+    w = Weights.of(*q)
+    report = sing1_audit(w, 4)
+    points = list(wproj.scan._canonical_points(w, 4))
+    nonsingular = [p for p in points if not is_singular(WPoint.of(p, w))]
+    assert report.total_points == len(points)
+    assert report.singular_points == len(points) - len(nonsingular)
+    assert [row.point for row in report.counterexamples] == nonsingular
+
+
+def test_sing1_audit_stays_off_the_fraction_path(monkeypatch):
+    # the enumeration tests the sign canon on int tuples, and the audit
+    # builds a WPoint only once per support, for is_singular
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit called sign_canon")
+
+    calls = []
+    build = WPoint.of.__func__
+
+    def counting_of(cls, coords, weights):
+        calls.append(tuple(coords))
+        return build(cls, coords, weights)
+
+    monkeypatch.setattr(wproj.scan, "sign_canon", refuse)
+    monkeypatch.setattr(wproj.scan.WPoint, "of", classmethod(counting_of))
+    report = sing1_audit(Weights.of(2, 3, 5), 6)
+    assert report.total_points > 1000
+    assert len(calls) <= 2 ** 3 - 1
