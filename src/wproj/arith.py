@@ -10,6 +10,7 @@ formal sum is collapsed to a real number.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from collections import Counter
@@ -34,6 +35,8 @@ _PSI_13 = 3_317_044_064_679_887_385_961_981
 _SIGN_BUDGET = 1 << 20
 #: relative margin past which the float sum decides a LogValue sign
 _SIGN_MARGIN = 1e-9
+#: decimal digits past which floor_log gives up on comparing r with e^m
+_EXP_DIGITS = 1 << 11
 
 
 def is_prime(n: int) -> bool:
@@ -335,6 +338,36 @@ def log_of_fraction(r: Fraction) -> float:
     return math.log(r.numerator) - math.log(r.denominator)
 
 
+def floor_log(r: Fraction, q: int) -> int:
+    """floor(log(r) / q) for a rational r >= 1, exactly: the float guess k
+    is corrected until e^(kq) <= r < e^((k+1)q), each decided by _exp_sign."""
+    k = max(math.floor(log_of_fraction(r) / q), 0)
+    while k > 0 and _exp_sign(r, k * q) < 0:
+        k -= 1
+    while _exp_sign(r, (k + 1) * q) > 0:
+        k += 1
+    return k
+
+
+def _exp_sign(r: Fraction, m: int) -> int:
+    """Sign of r - e^m for a rational r > 0 and an integer m != 0.
+
+    Decimal division and exp are correctly rounded, so at P digits each
+    of R and E is within 10^(1-P)/2 of r and e^m relative to itself; a
+    gap above 10^(1-P) * (R + E) decides.  e^m is irrational, so some
+    precision always does, unless it exceeds _EXP_DIGITS: then
+    ComparisonBudgetExceeded is raised."""
+    digits = 32
+    while digits <= _EXP_DIGITS:
+        ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        R = Fraction(ctx.divide(r.numerator, r.denominator))
+        E = Fraction(ctx.exp(m))
+        if abs(R - E) > (R + E) / 10 ** (digits - 1):
+            return 1 if R > E else -1
+        digits *= 2
+    raise ComparisonBudgetExceeded(f"comparing {r} with e^{m} needs over {_EXP_DIGITS} digits")
+
+
 # ---------------------------------------------------------------------------
 # Exact formal log sums
 # ---------------------------------------------------------------------------
@@ -416,26 +449,29 @@ class LogValue:
     def _sign(self) -> int:
         """Exact sign of the represented real number.
 
-        The float sum s of the k terms c_p * log p decides when |s| exceeds
-        max(_SIGN_MARGIN, (k + 4) * 2^-52) * A, A the sum of their absolute
-        values: with no subnormal float(c_p), each term is off by at most
-        4 * 2^-53 relative (float(c_p), math.log within one ulp, the product)
-        and the summation adds (k - 1) * 2^-53 * A, so |s - sum c_p log p|
-        <= (k + 3) * 2^-53 * A * (1 + O(k * 2^-53)).  Otherwise the products
-        prod p^(c_p * L), L a common denominator, are compared on integers,
-        or ComparisonBudgetExceeded is raised past _SIGN_BUDGET bits."""
+        The float sum s of the k terms c_p * log p with |float(c_p)| >=
+        2^-1000 decides when |s| exceeds max(_SIGN_MARGIN, (k + 4) * 2^-52)
+        * A + T, A the sum of their absolute values and T the sum of
+        2^-999 * log p over the other terms, which bounds those: no such
+        term is subnormal, so each is off by at most 4 * 2^-53 relative
+        (float(c_p), math.log within one ulp, the product) and the
+        summation adds (k - 1) * 2^-53 * A, so |s - sum c_p log p| <=
+        (k + 3) * 2^-53 * A * (1 + O(k * 2^-53)) + T.  Otherwise the
+        products prod p^(c_p * L), L a common denominator, are compared on
+        integers, or ComparisonBudgetExceeded is raised past _SIGN_BUDGET
+        bits."""
         if not self._coeffs:
             return 0
         try:
             floats = [(float(c), math.log(p)) for p, c in self._coeffs.items()]
         except OverflowError:  # a coefficient beyond the float range
             floats = []
-        if floats and min(abs(fc) for fc, _ in floats) >= 2.0 ** -1000:
-            terms = [fc * log_p for fc, log_p in floats]
-            total, size = sum(terms), sum(map(abs, terms))
-            margin = max(_SIGN_MARGIN, (len(terms) + 4) * 2.0 ** -52)
-            if abs(total) > margin * size:  # never true on an inf or a nan
-                return 1 if total > 0 else -1
+        terms = [fc * log_p for fc, log_p in floats if abs(fc) >= 2.0 ** -1000]
+        tiny = sum(2.0 ** -999 * log_p for fc, log_p in floats if abs(fc) < 2.0 ** -1000)
+        total, size = sum(terms), sum(map(abs, terms))
+        margin = max(_SIGN_MARGIN, (len(terms) + 4) * 2.0 ** -52)
+        if abs(total) > margin * size + tiny:  # never true on an inf or a nan
+            return 1 if total > 0 else -1
         denom_lcm = math.lcm(*(c.denominator for c in self._coeffs.values()))
         exps = [(p, int(c * denom_lcm)) for p, c in self._coeffs.items()]
         bits = sum(abs(e) * p.bit_length() for p, e in exps)

@@ -28,7 +28,7 @@ from .localheights import (
     zeta_principal,  # unused here; perfbench/tracing.py rebinds this name
     zeta_subscheme,
 )
-from .points import normalization, parse_coords, parse_point, veronese
+from .points import format_point, normalization, parse_coords, parse_point, veronese
 from .scan import (
     AuditReport,
     BoxDomain,
@@ -44,10 +44,7 @@ from .wpoly import parse_polynomial
 
 
 def _rat(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def _real(value: float) -> float:
@@ -208,7 +205,7 @@ def cmd_veronese(args) -> int:
     except ParseError:
         x = None  # symbolic point: report the map data only
     if x is not None:
-        record["image"] = "[" + ":".join(str(v) for v in veronese(x)) + "]"
+        record["image"] = format_point(veronese(x))
     _emit(record)
     return 0
 
@@ -298,15 +295,11 @@ def _config_record(config: ScanConfig) -> dict:
     }
 
 
-def _point_str(point: tuple[int, ...]) -> str:
-    return "[" + ":".join(str(v) for v in point) + "]"
-
-
 def format_scan_csv(report: ScanReport) -> str:
     lines = ["point,lhs,rhs,ratio,exceptional"]
     for row in report.rows:
         lines.append(
-            f"{_point_str(row.point)},{row.lhs},{row.rhs:.12g},"
+            f"{format_point(row.point)},{row.lhs},{row.rhs:.12g},"
             f"{row.ratio:.12g},{str(row.exceptional).lower()}"
         )
     return "\n".join(lines) + "\n"
@@ -317,7 +310,7 @@ def format_scan_json(report: ScanReport) -> str:
         "config": _config_record(report.config),
         "rows": [
             {
-                "point": _point_str(row.point),
+                "point": format_point(row.point),
                 "lhs": row.lhs,
                 "rhs": _real(row.rhs),
                 "ratio": _real(row.ratio),
@@ -330,7 +323,7 @@ def format_scan_json(report: ScanReport) -> str:
             "candidates": report.total_candidates,
             "skipped_on_subscheme": report.skipped_on_subscheme,
             "exceptional": report.exceptional_count,
-            "max_ratio": _real(report.max_ratio) if report.max_ratio is not None else None,
+            "max_ratio": _real(report.max_ratio),
         },
     }
     return json.dumps(record, indent=2) + "\n"
@@ -366,7 +359,7 @@ def cmd_vojta_scan(args) -> int:
 def format_audit_csv(report: AuditReport) -> str:
     lines = ["point,log_hwgcd_zero,singular,counterexample"]
     for row in report.counterexamples:
-        lines.append(f"{_point_str(row.point)},true,false,true")
+        lines.append(f"{format_point(row.point)},true,false,true")
     return "\n".join(lines) + "\n"
 
 
@@ -402,7 +395,7 @@ def format_audit_json(report: AuditReport) -> str:
             for p, floors, minimum in row.valuations
         ]
         rows.append(
-            f'{{\n      "point": "{_point_str(row.point)}",\n'
+            f'{{\n      "point": "{format_point(row.point)}",\n'
             '      "log_hwgcd_zero": true,\n      "singular": false,\n'
             f'      "valuations": {_json_list(valuations, 3)}\n    }}'
         )

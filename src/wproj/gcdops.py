@@ -24,8 +24,8 @@ from .arith import (
     RationalLike,
     as_fraction,
     factorize,
+    floor_log,
     ord_int,
-    val_plus,
 )
 from .errors import (
     AllZero,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .weights import Weights
 # evaluate is unused here; perfbench/tracing.py rebinds this name
-from .wpoly import MIXED, WPolynomial, _integer_value, evaluate, weighted_degree
+from .wpoly import MIXED, WPolynomial, evaluate, scaled_value, weighted_degree
 
 if TYPE_CHECKING:  # only for annotations; points imports this module
     from .points import WPoint
@@ -92,22 +92,18 @@ class Subscheme:
             Weights(self.gcd_weights.q + other.gcd_weights.q),
         )
 
-    def scheme_sum(self, other: "Subscheme") -> "Subscheme":
-        """Scheme sum (ideal product): pairwise generator products."""
-        gens = []
-        gw = []
-        for f, df in zip(self.generators, self.gcd_weights.q):
-            for g, dg in zip(other.generators, other.gcd_weights.q):
-                gens.append(f * g)
-                gw.append(df + dg)
-        return Subscheme(tuple(gens), Weights(tuple(gw)))
-
     def values_at(self, coords: Sequence[RationalLike]) -> tuple[int, ...]:
         """Generator values at an integral point, as ints; raises
         NonIntegralValue at the first coordinate or value that is not an
         integer."""
         coords = _integer_tuple(coords, self.ambient_weights)
-        return tuple([_integer_value(g, coords) for g in self.generators])
+        values = []
+        for g in self.generators:
+            d, v = g.integer_form[0], scaled_value(g, coords)
+            if v % d:
+                raise NonIntegralValue(f"{Fraction(v, d)} is not an integer")
+            values.append(v // d)
+        return tuple(values)
 
 
 def _normalize_tuple(xs: Sequence[RationalLike], w: Weights) -> list[Fraction]:
@@ -131,14 +127,15 @@ def _integer_tuple(xs: Sequence[RationalLike], w: Weights) -> Sequence[int]:
     return out
 
 
-def _wgcd_exponents(ints: Sequence[int], w: Weights) -> dict[int, int]:
-    """Map p -> min_i floor(ord_p(x_i)/q_i) over primes with positive min."""
+def _wgcd_exponents(ints: Sequence[int], w: Weights, primes=None) -> dict[int, int]:
+    """Map p -> min_i floor(ord_p(x_i)/q_i) over the primes with positive
+    min: those of the gcd, or only the given ``primes``, factoring nothing."""
     g = math.gcd(*ints)
     if g == 1:
         return {}
     nonzero = [(v, q) for v, q in zip(ints, w.q) if v != 0]
     exponents: dict[int, int] = {}
-    for p, _ in factorize(g).factors:
+    for p in factorize(g).primes() if primes is None else primes:
         e = min(ord_int(v, p) // q for v, q in nonzero)
         if e > 0:
             exponents[p] = e
@@ -192,18 +189,14 @@ def log_hwgcd(
 
 def t_nu(x: "WPoint", place: Place) -> int:
     """min_i floor(nu+(x_i)/q_i) at one place; zero coordinates absorb
-    to +infinity.  The floor applies at the archimedean place too."""
-    best: int | None = None
-    for coord, q in zip(x.coords, x.weights.q):
-        nu = val_plus(coord, place)
-        if math.isinf(nu):
-            continue
-        term = int(nu) // q if place.is_finite else math.floor(nu / q)
-        if best is None or term < best:
-            best = term
-    if best is None:
-        raise AllZero("t_nu of the all-zero tuple is undefined")
-    return best
+    to +infinity.  At a prime p, nu_p+ of a reduced fraction is ord_p of
+    its numerator, so this is the exponent of p in the weighted GCD of
+    the numerators.  At the archimedean place each floor is exact."""
+    if place.is_finite:
+        p = place.prime
+        return _wgcd_exponents([c.numerator for c in x.coords], x.weights, [p]).get(p, 0)
+    pairs = zip(x.coords, x.weights.q)
+    return min(floor_log(max(1 / abs(c), Fraction(1)), q) for c, q in pairs if c != 0)
 
 
 def hwgcd_subscheme(x: "WPoint", y: Subscheme) -> LogValue:

@@ -58,11 +58,12 @@ class WPoint:
         return all(c.denominator == 1 for c in self.coords)
 
     def __str__(self) -> str:
-        return "[" + ":".join(_format_rational(c) for c in self.coords) + "]"
+        return format_point(self.coords)
 
 
-def _format_rational(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def format_point(coords: Sequence[RationalLike]) -> str:
+    """"[a0:a1:...:an]", each entry an int or "p/q"."""
+    return "[" + ":".join(map(str, coords)) + "]"
 
 
 _POINT_RE = re.compile(r"^\s*\[\s*(.*?)\s*\]\s*$")
@@ -128,17 +129,20 @@ def normalize(x: WPoint) -> WPoint:
     return normalization(x)[0]
 
 
+def is_sign_canonical(coords: Sequence[RationalLike], q: Sequence[int]) -> bool:
+    """Whether the first nonzero odd-weight coordinate, if any, is positive."""
+    for c, qi in zip(coords, q):
+        if c and qi % 2:
+            return c > 0
+    return True
+
+
 def sign_canon(x: WPoint) -> WPoint:
     """Representative with the first nonzero odd-weight coordinate positive."""
-    for c, qi in zip(x.coords, x.weights.q):
-        if c != 0 and qi % 2 == 1:
-            if c < 0:
-                flipped = tuple(
-                    cc * (-1) ** qq for cc, qq in zip(x.coords, x.weights.q)
-                )
-                return WPoint(flipped, x.weights)
-            return x
-    return x
+    if is_sign_canonical(x.coords, x.weights.q):
+        return x
+    flipped = tuple(-c if qi % 2 else c for c, qi in zip(x.coords, x.weights.q))
+    return WPoint(flipped, x.weights)
 
 
 def _rational_nth_roots(ratio: Fraction, n: int) -> list[Fraction]:
@@ -184,17 +188,7 @@ def veronese(x: WPoint) -> tuple[int, ...]:
 
 
 def reduce_projective(coords: Sequence[RationalLike]) -> tuple[int, ...]:
-    """Coprime-integer canonical form of an ordinary projective point."""
-    vals = [as_fraction(c) for c in coords]
-    if all(v == 0 for v in vals):
-        raise AllZero("a projective point needs a nonzero coordinate")
-    lam = math.lcm(*(v.denominator for v in vals))
-    ints = [int(v * lam) for v in vals]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
+    """Coprime-integer canonical form of an ordinary projective point: the
+    normal form at weights (1, ..., 1)."""
+    x = normalize(WPoint(tuple(coords), Weights((1,) * len(coords))))
+    return tuple(c.numerator for c in x.coords)

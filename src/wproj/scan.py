@@ -33,7 +33,7 @@ from .errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
-from .points import WPoint, sign_canon
+from .points import WPoint, is_sign_canonical, sign_canon
 from .singular import is_singular
 from .weights import Weights
 
@@ -134,7 +134,7 @@ class ScanReport:
     total_candidates: int
     skipped_on_subscheme: int
     exceptional_count: int
-    max_ratio: float | None
+    max_ratio: float
 
 
 def s_units(primes: Sequence[int], max_value: int) -> list[int]:
@@ -267,21 +267,11 @@ class AuditReport:
 
 def _canonical_points(w: Weights, bound: int) -> Iterator[tuple[int, ...]]:
     """Normalized integral representatives with |x_i| <= bound, in
-    lexicographic order: the sign canon of points.sign_canon, tested on
-    the int tuple first (the first nonzero odd-weight coordinate is
-    positive), then weighted GCD 1."""
-    odd = [i for i, q in enumerate(w.q) if q % 2 == 1]
+    lexicographic order: the sign canon, tested on the int tuple first,
+    then weighted GCD 1."""
     for point in itertools.product(range(-bound, bound + 1), repeat=len(w)):
-        negative = False
-        for i in odd:
-            if point[i]:
-                negative = point[i] < 0
-                break
-        if negative:
-            continue
-        if not any(point) or wgcd(point, w) != 1:
-            continue
-        yield point
+        if is_sign_canonical(point, w.q) and any(point) and wgcd(point, w) == 1:
+            yield point
 
 
 def _valuation_table(point: tuple[int, ...], w: Weights):

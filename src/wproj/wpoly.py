@@ -11,8 +11,9 @@ Canonical printing sorts terms by exponent tuple, descending
 lexicographically.
 
 Each polynomial caches its integer form: the lcm D of its coefficient
-denominators and the integer coefficients of D * f.  Values at integer
-points are computed from it in int arithmetic, with no Fraction built.
+denominators and the integer coefficients of D * f.  Every value is
+computed from it: at integer points in int arithmetic, with no Fraction
+built.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     ArityMismatch,
     MixedDegree,
     NonIntegralExponent,
-    NonIntegralValue,
     ParseError,
     ZeroPolynomial,
 )
@@ -37,14 +37,8 @@ from .weights import Weights
 
 
 class _MixedMarker:
-    """Singleton marker returned by weighted_degree for mixed polynomials."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Marker returned by weighted_degree for mixed polynomials; MIXED is
+    its only instance."""
 
     def __repr__(self):
         return "Mixed"
@@ -160,33 +154,22 @@ def is_homogeneous(f: WPolynomial) -> bool:
     return weighted_degree(f) is not MIXED
 
 
-def _integer_value(f: WPolynomial, xs: Sequence[int]) -> int:
-    """f(xs) at an int tuple of f's arity, computed from f's integer form;
-    raises NonIntegralValue when the value is not an integer."""
-    d, terms = f.integer_form
+def scaled_value(f: WPolynomial, xs: Sequence[RationalLike]) -> RationalLike:
+    """D * f(xs), D = f.integer_form[0], from the integer form: an int at
+    an int tuple, a Fraction at a Fraction tuple."""
     total = 0
-    for a, powers in terms:
+    for a, powers in f.integer_form[1]:
         for i, e in powers:
             a *= xs[i] ** e
         total += a
-    if total % d:
-        raise NonIntegralValue(f"{Fraction(total, d)} is not an integer")
-    return total // d
+    return total
 
 
 def evaluate(f: WPolynomial, xs: Sequence[RationalLike]) -> Fraction:
     """Exact value of f at a rational tuple."""
     if len(xs) != len(f.weights):
         raise ArityMismatch(f"expected {len(f.weights)} values, got {len(xs)}")
-    xs = tuple(as_fraction(x) for x in xs)
-    total = Fraction(0)
-    for coeff, exps in f.terms:
-        term = coeff
-        for x, e in zip(xs, exps):
-            if e:
-                term *= x ** e
-        total += term
-    return total
+    return Fraction(scaled_value(f, [as_fraction(x) for x in xs]), f.integer_form[0])
 
 
 def dehomogenize_binary(f: WPolynomial) -> tuple[Fraction, ...]:

@@ -169,6 +169,43 @@ def subscheme_global_height(coords, q, generators, mode) -> dict[int, Fraction]:
     return {p: c for p, c in total.items() if c != 0}
 
 
+def exp_sign(r, m: int) -> int:
+    """Sign of r - e^m for a rational r and an integer m >= 1, from the
+    Taylor partial sums s_n of e^m: the terms after t_n = m^n/n! sum to
+    at most t_n * m / (n + 1 - m), so s_n < e^m <= s_n + that bound."""
+    r = Fraction(r)
+    partial = term = Fraction(1)
+    n = 0
+    while True:
+        n += 1
+        term = term * m / n
+        partial += term
+        if n + 1 > 2 * m:
+            if r < partial:
+                return -1
+            if r > partial + term * m / (n + 1 - m):
+                return 1
+
+
+def floor_log(r, q: int) -> int:
+    """floor(log(r) / q) for a rational r >= 1, counting up from 0."""
+    k = 0
+    while exp_sign(r, (k + 1) * q) > 0:
+        k += 1
+    return k
+
+
+def exp_digits(m: int, digits: int) -> int:
+    """An integer within one of e^m * 10^digits, for m >= 1."""
+    partial = term = Fraction(1)
+    n = 0
+    while n + 1 <= 2 * m or term * m / (n + 1 - m) > Fraction(1, 10 ** digits):
+        n += 1
+        term = term * m / n
+        partial += term
+    return math.floor(partial * 10 ** digits)
+
+
 def rational_abs_log(r) -> float:
     r = Fraction(r)
     return math.log(abs(r.numerator)) - math.log(r.denominator)

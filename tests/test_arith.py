@@ -327,6 +327,20 @@ def test_logvalue_near_tie_is_decided_on_integers():
     assert three < two and two > three and not two < three
 
 
+def test_logvalue_tiny_coefficient_beside_a_deciding_term():
+    # 10^-400 log 2 is below any normal float, and clearing its denominator
+    # would take 10^400-bit products; each such term is bounded by
+    # 2^-999 log p, so the -15601 log 3 term decides
+    assert LogValue({2: Fraction(1, 10 ** 400), 3: -15601}) < LogValue.zero()
+    assert LogValue({2: Fraction(1, 10 ** 400), 3: 15601}) > LogValue.zero()
+    assert LogValue({2: Fraction(1, 2 ** 990), 3: Fraction(-1, 10 ** 400)}) > LogValue.zero()
+    # here the bound on the tiny term exceeds the other term, so the integers
+    # decide: 2^-1001 * (2 log 2 - log 3) > 0, and 2^-1000 * (log 2 - 0.7 log 3)
+    # < 0, which the float of the first term alone gets wrong
+    assert LogValue({2: Fraction(1, 2 ** 1000), 3: Fraction(-1, 2 ** 1001)}) > LogValue.zero()
+    assert LogValue({2: Fraction(1, 2 ** 1000), 3: Fraction(-7, 10 * 2 ** 1000)}) < LogValue.zero()
+
+
 def test_logvalue_sign_past_the_budget_raises_a_typed_error():
     start = time.perf_counter()
     with pytest.raises(ComparisonBudgetExceeded) as exc:

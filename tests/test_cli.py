@@ -1,8 +1,11 @@
+import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from wproj.cli import format_audit_json, main
+from wproj.cli import _rat, format_audit_json, main
 from wproj.scan import AuditReport, AuditRow, sing1_audit
 from wproj.weights import Weights
 
@@ -289,3 +292,78 @@ def test_removed_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("vojta-scan", "--weights", "(1,2,3)", "--generators", "x1-x0;x2-x0",
+      "--main2-default", "--epsilon", "1", "--s-primes", "2,3",
+      "--domain", "sunit:2,3:1000000", "--format", "csv"),
+     "6ab2acd36f645dc8b3c003cb82ca985a5db0033b91d4ce247a658e7cae58db56"),
+    (("vojta-scan", "--weights", "(1,1,2)", "--generators", "x1-x0;x2-x0",
+      "--gcd-weights", "(1,1)", "--epsilon", "1/2", "--s-primes", "2",
+      "--domain", "box:14", "--format", "csv"),
+     "a55d365fa75862270ef63900744a62925652a626152ce983ff9e11ff1ba683a7"),
+    (("sing1-audit", "--weights", "(2,3,5)", "--bound", "11", "--format", "json"),
+     "ac431e4d80b837544cd3f63d535aebdb95802bcd1285f78c554285ef91472a5c"),
+])
+def test_benchmark_commands_keep_their_bytes(capsys, argv, digest):
+    # the stdout of the benchmark's seed-0 scans and audit, byte for byte
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("height", "[3/2:-5/9]", "--weights", "(2,3)"),
+     '{"point": "[3/2:-5/9]", "weights": "(2,3)", "m": 6, "wh_pow_m": "2187", '
+     '"lwh": 1.28171433678, "per_place": [["oo", "27/8"], ["2", "8"], ["3", "81"], '
+     '["5", "1"]]}'),
+    (("height", "[1/3:5/7:-11]", "--weights", "(1,2,3)"),
+     '{"point": "[1/3:5/7:-11]", "weights": "(1,2,3)", "m": 6, "wh_pow_m": "30255687", '
+     '"lwh": 2.87086578746, "per_place": [["oo", "121"], ["3", "729"], ["5", "1"], '
+     '["7", "343"], ["11", "1"]]}'),
+    (("normalize", "[1/2:-3/4:5]", "--weights", "(1,2,3)"),
+     '{"point": "[1:-3:40]", "wgcd": "2", "denominator_scale": "4"}'),
+    (("normalize", "[-7/2:9/8]", "--weights", "(2,3)"),
+     '{"point": "[-14:9]", "wgcd": "4", "denominator_scale": "8"}'),
+    (("veronese", "[1/2:3/4:-5/6]", "--weights", "(1,2,3)"),
+     '{"weights": "(1,2,3)", "reduced_weights": "(1,2,3)", "reduction_exponents": '
+     '[1, 1, 1], "m": 6, "exponents": [6, 3, 2], "is_embedding": true, '
+     '"image": "[9:243:400]"}'),
+    (("veronese", "[-3:4:-5:2]", "--weights", "(2,4,6,10)"),
+     '{"weights": "(2,4,6,10)", "reduced_weights": "(1,2,3,5)", "reduction_exponents": '
+     '[2, 2, 2, 2], "m": 60, "exponents": [30, 15, 10, 6], "is_embedding": true, '
+     '"image": "[205891132094649:1073741824:9765625:64]"}'),
+    (("zeta", "[1/3:5/7]", "--weights", "(2,3)", "--place", "inf", "--divisor", "x0"),
+     '{"point": "[1/3:5/7]", "place": "oo", "metric": "paper", "zeta": 0.0148659298007, '
+     '"formal": [[3, "1/6"], [5, "1/2"], [7, "-1/2"]]}'),
+    (("zeta", "[1/3:5/7]", "--weights", "(2,3)", "--place", "7",
+      "--divisor", "2/3*x0^3+x1^2"),
+     '{"point": "[1/3:5/7]", "place": "7", "metric": "paper", "zeta": 0.324318358176, '
+     '"formal": [[7, "1/6"]]}'),
+    (("zeta", "[-9/4:27/8]", "--weights", "(2,3)", "--place", "2",
+      "--generators", "x0^3-x1^2;x0^3"),
+     '{"point": "[-9/4:27/8]", "place": "2", "metric": "paper", "zeta": 0.34657359028, '
+     '"formal": [[2, "1/2"]]}'),
+    (("global-height", "[1/3:5/7:2]", "--weights", "(1,2,3)",
+      "--divisor", "x0^6-1/2*x2^2"),
+     '{"point": "[1/3:5/7:2]", "metric": "paper", "value": 1.17831235474, '
+     '"formal": [[2, "1/2"], [3, "1/6"], [7, "1/3"]]}'),
+    (("global-height", "[-4/9:8/27]", "--weights", "(2,3)", "--divisor", "x1",
+      "--metric", "alt"),
+     '{"point": "[-4/9:8/27]", "metric": "alt", "value": 0.0, "formal": []}'),
+])
+def test_scalar_commands_keep_their_bytes(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == line + "\n"
+
+
+def test_rat_is_the_numerator_slash_denominator_text():
+    rng = random.Random(8)
+    for _ in range(2000):
+        r = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice((1, 1, rng.randint(1, 10 ** 6))))
+        n, d = r.numerator, r.denominator
+        assert _rat(r) == (str(n) if d == 1 else f"{n}/{d}")
+        if d == 1:
+            assert _rat(n) == str(n)

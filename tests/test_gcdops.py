@@ -1,13 +1,16 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from wproj import arith
 from wproj.arith import ARCHIMEDEAN, LogValue, Place
 from wproj.errors import (
     AllZero,
     ArityMismatch,
+    ComparisonBudgetExceeded,
     MixedDegree,
     NonIntegralValue,
     NotNormalized,
@@ -26,7 +29,7 @@ from wproj.points import WPoint, normalize, scale
 from wproj.weights import Weights
 from wproj.wpoly import parse_polynomial
 
-from oracles import brute_wgcd, nu_plus_wgcd_exponents
+from oracles import brute_wgcd, exp_digits, floor_log, nu_plus_wgcd_exponents
 
 W23 = Weights.of(2, 3)
 W11 = Weights.of(1, 1)
@@ -106,6 +109,75 @@ def test_t_nu_examples():
     assert t_nu(x, ARCHIMEDEAN) == 0
     y = WPoint.of((Fraction(1, 9), Fraction(1, 1024)), W23)
     assert t_nu(y, ARCHIMEDEAN) == 1
+
+
+def test_t_nu_at_primes_matches_the_nu_plus_oracle():
+    # t_nu at p is the exponent of p in the generalized weighted gcd
+    rng = random.Random(41)
+    nontrivial = 0
+    for q in ((1, 2), (2, 3), (1, 1, 2), (2, 3, 5)):
+        w = Weights(q)
+        for _ in range(150):
+            c = rng.choice((1, 2, 3, 4, 6, 12, 30))
+            xs = tuple(
+                Fraction(c ** qi * rng.randint(-20, 20), rng.randint(1, 30)) for qi in q
+            )
+            if all(x == 0 for x in xs):
+                continue
+            exponents = nu_plus_wgcd_exponents(xs, q)
+            x = WPoint.of(xs, w)
+            for p in (2, 3, 5, 7, 11, 13):
+                assert t_nu(x, Place(p)) == exponents.get(p, 0)
+            nontrivial += bool(exponents)
+    assert nontrivial > 100
+
+
+def test_t_nu_at_a_prime_factors_nothing():
+    # the gcd 2 * (2^61 - 1) * (2^89 - 1) is past the rho budget (about
+    # 2 s to FactoringBudgetExceeded), but only the exponent of 2 is asked
+    n = 2 * (2 ** 61 - 1) * (2 ** 89 - 1)
+    start = time.perf_counter()
+    assert t_nu(WPoint.of((n, n), W11), Place(2)) == 1
+    assert t_nu(WPoint.of((n, Fraction(n, 3)), W11), Place(3)) == 0
+    assert time.perf_counter() - start < 0.1
+
+
+def test_t_nu_archimedean_floor_is_exact_next_to_e():
+    # log(27182818284590452353602874 / 10^25) = 1 - 2.6e-26: the float log
+    # rounds to 1.0, but the floor is 0; the twin ...875 lies above e
+    below = WPoint.of((Fraction(10 ** 25, 27182818284590452353602874), 0), W11)
+    above = WPoint.of((Fraction(10 ** 25, 27182818284590452353602875), 0), W11)
+    assert t_nu(below, ARCHIMEDEAN) == 0
+    assert t_nu(above, ARCHIMEDEAN) == 1
+
+
+def test_t_nu_archimedean_matches_the_series_oracle():
+    # near ties: the decimal truncations of e^m just below and above it,
+    # and seeded rationals of every size up to e^30
+    rng = random.Random(43)
+    cases = []
+    for m in range(1, 13):
+        for digits in (5, 15, 25, 40):
+            n = exp_digits(m, digits)
+            cases += [Fraction(n + k, 10 ** digits) for k in (-1, 0, 1, 2)]
+    cases += [Fraction(rng.randint(1, 10 ** 13), rng.randint(1, 10 ** 6)) for _ in range(300)]
+    for r in cases:
+        q = rng.randint(1, 4)
+        x = WPoint.of((1 / r, 0, Fraction(1, 2) * rng.choice((0, 1))), Weights.of(q, 1, 1))
+        expected = floor_log(max(r, 1), q)
+        if x.coords[2]:
+            expected = min(expected, 0)  # log 2 < 1
+        assert t_nu(x, ARCHIMEDEAN) == expected
+
+
+def test_t_nu_archimedean_past_the_digit_budget_raises(monkeypatch):
+    # within 10^-79 of e, with a 64-digit budget: neither 32 nor 64 digits settle it
+    monkeypatch.setattr(arith, "_EXP_DIGITS", 64)
+    r = Fraction(exp_digits(1, 80), 10 ** 80)
+    with pytest.raises(ComparisonBudgetExceeded):
+        t_nu(WPoint.of((1 / r, 1), W11), ARCHIMEDEAN)
+    monkeypatch.setattr(arith, "_EXP_DIGITS", 128)
+    assert t_nu(WPoint.of((1 / r, 1), W11), ARCHIMEDEAN) == 0
 
 
 def test_log_hwgcd_matches_t_nu_sum():
@@ -263,9 +335,6 @@ def test_subscheme_combinations():
     both = y1.intersect(y2)
     assert len(both.generators) == 2
     assert both.gcd_weights == Weights.of(1, 1)
-    product = y1.scheme_sum(y2)
-    assert product.generators == (parse_polynomial("x0*x1", w),)
-    assert product.gcd_weights == Weights.of(2)
 
 
 def test_hwgcd_subscheme_examples():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -106,6 +107,44 @@ def test_reduce_projective():
     assert reduce_projective((0, -3, 6)) == (0, 1, -2)
     with pytest.raises(AllZero):
         reduce_projective((0, 0))
+
+
+def _reduce_oracle(vals):
+    """Clear denominators by their lcm, divide by the gcd, then make the
+    first nonzero entry positive."""
+    lam = math.lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (lam // v.denominator) for v in vals]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    sign = -1 if next(v for v in ints if v) < 0 else 1
+    return tuple(sign * v for v in ints)
+
+
+def test_reduce_projective_matches_the_lcm_gcd_sign_oracle():
+    rng = random.Random(29)
+    for _ in range(3000):
+        vals = [
+            Fraction(rng.choice((0, 0, 1)) * rng.randint(-60, 60), rng.choice((1, 2, 4, 6, 9, 35)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        if not any(vals):
+            with pytest.raises(AllZero) as info:
+                reduce_projective(vals)
+            assert str(info.value) == "a projective point needs a nonzero coordinate"
+            continue
+        reduced = reduce_projective(vals)
+        assert all(type(v) is int for v in reduced)
+        assert reduced == _reduce_oracle(vals)
+
+
+def test_point_text_is_numerator_slash_denominator():
+    rng = random.Random(5)
+    for _ in range(500):
+        q = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        x = rand_point(rng, Weights(q), bound=10 ** 6)
+        parts = [str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+                 for c in x.coords]
+        assert str(x) == "[" + ":".join(parts) + "]"
 
 
 def test_parse_point():

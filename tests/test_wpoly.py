@@ -24,6 +24,8 @@ from wproj.wpoly import (
     weighted_degree,
 )
 
+from oracles import _value
+
 
 def test_weighted_degree_examples():
     w = Weights.of(2, 3)
@@ -95,6 +97,26 @@ def test_values_at_matches_evaluate_at_integer_points():
                         y.values_at(point)
                     assert str(info.value) == f"{exact} is not an integer"
     assert integral > 500 and non_integral > 500
+
+
+def test_evaluate_matches_the_term_oracle_at_rational_points():
+    # one loop over the integer form, divided by D, against the terms in Fractions
+    rng = random.Random(17)
+    for q in ((2, 3), (1, 2, 3), (2, 3, 5)):
+        w = Weights(q)
+        for _ in range(150):
+            f = _rand_rational_polynomial(rng, w)
+            for _ in range(5):
+                point = tuple(
+                    Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7, 12))) for _ in q
+                )
+                value = evaluate(f, point)
+                assert type(value) is Fraction and value == _value(f.terms, point)
+        with pytest.raises(ArityMismatch):
+            evaluate(f, (Fraction(1, 2),) * (len(q) + 1))
+        with pytest.raises(ArityMismatch):
+            evaluate(f, (1,) * (len(q) - 1))
+    assert evaluate(parse_polynomial("x0-x0", Weights.of(1, 1)), (1, 2)) == Fraction(0)
 
 
 def test_dehomogenize_binary_examples():
