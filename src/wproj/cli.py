@@ -34,6 +34,7 @@ from .scan import (
     BoxDomain,
     ScanConfig,
     ScanReport,
+    ScanRow,
     SUnitGrid,
     sing1_audit,
     vojta_scan,
@@ -295,38 +296,52 @@ def _config_record(config: ScanConfig) -> dict:
     }
 
 
+def _csv_row(row: ScanRow) -> str:
+    return (
+        f"{format_point(row.point)},{row.lhs},{row.rhs:.12g},"
+        f"{row.ratio:.12g},{str(row.exceptional).lower()}"
+    )
+
+
+def _json_row(row: ScanRow) -> str:
+    """A row as ``json.dumps(..., indent=2)`` lays it out in the rows
+    list: the point text needs no escaping, and a finite float's JSON
+    text is its ``repr``."""
+    return (
+        f'{{\n      "point": "{format_point(row.point)}",\n      "lhs": {row.lhs},\n'
+        f'      "rhs": {_real(row.rhs)!r},\n      "ratio": {_real(row.ratio)!r},\n'
+        f'      "exceptional": {"true" if row.exceptional else "false"}\n    }}'
+    )
+
+
+def _row_texts(report: ScanReport, render) -> list[str]:
+    """The report's rows as text.  ``cmd_vojta_scan`` has the scan's
+    workers render them; a library caller's report holds ScanRows."""
+    rows = report.rows
+    if rows and not isinstance(rows[0], str):
+        return [render(row) for row in rows]
+    return rows
+
+
 def format_scan_csv(report: ScanReport) -> str:
-    lines = ["point,lhs,rhs,ratio,exceptional"]
-    for row in report.rows:
-        lines.append(
-            f"{format_point(row.point)},{row.lhs},{row.rhs:.12g},"
-            f"{row.ratio:.12g},{str(row.exceptional).lower()}"
-        )
+    lines = ["point,lhs,rhs,ratio,exceptional", *_row_texts(report, _csv_row)]
     return "\n".join(lines) + "\n"
 
 
 def format_scan_json(report: ScanReport) -> str:
-    record = {
-        "config": _config_record(report.config),
-        "rows": [
-            {
-                "point": format_point(row.point),
-                "lhs": row.lhs,
-                "rhs": _real(row.rhs),
-                "ratio": _real(row.ratio),
-                "exceptional": row.exceptional,
-            }
-            for row in report.rows
-        ],
-        "summary": {
-            "rows": len(report.rows),
-            "candidates": report.total_candidates,
-            "skipped_on_subscheme": report.skipped_on_subscheme,
-            "exceptional": report.exceptional_count,
-            "max_ratio": _real(report.max_ratio),
-        },
-    }
-    return json.dumps(record, indent=2) + "\n"
+    """The scan record, byte for byte as ``json.dumps(record, indent=2)``,
+    whose pure-Python encoder writes only the config head and the
+    summary here; the rows come from the ``_json_row`` template."""
+    head = json.dumps({"config": _config_record(report.config)}, indent=2)
+    summary = json.dumps({
+        "rows": len(report.rows),
+        "candidates": report.total_candidates,
+        "skipped_on_subscheme": report.skipped_on_subscheme,
+        "exceptional": report.exceptional_count,
+        "max_ratio": _real(report.max_ratio),
+    }, indent=2).replace("\n", "\n  ")
+    rows = _json_list(_row_texts(report, _json_row), 1)
+    return f'{head[:-2]},\n  "rows": {rows},\n  "summary": {summary}\n}}\n'
 
 
 def cmd_vojta_scan(args) -> int:
@@ -350,9 +365,12 @@ def cmd_vojta_scan(args) -> int:
         domain=_parse_domain(args.domain, len(w)),
         codim=args.codim,
     )
-    report = vojta_scan(config, workers=args.workers)
-    text = format_scan_csv(report) if args.format == "csv" else format_scan_json(report)
-    sys.stdout.write(text)
+    if args.format == "csv":
+        render, write = _csv_row, format_scan_csv
+    else:
+        render, write = _json_row, format_scan_json
+    report = vojta_scan(config, workers=args.workers, render=render)
+    sys.stdout.write(write(report))
     return 0
 
 

@@ -11,11 +11,12 @@ fixed: the first nonzero coordinate of odd weight is made positive
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arith import RationalLike, as_fraction, integer_nthroot
 from .errors import (
@@ -135,6 +136,32 @@ def is_sign_canonical(coords: Sequence[RationalLike], q: Sequence[int]) -> bool:
         if c and qi % 2:
             return c > 0
     return True
+
+
+def sign_canonical_tuples(q: Sequence[int], bound: int) -> Iterator[tuple[int, ...]]:
+    """The int tuples with |x_i| <= bound that pass ``is_sign_canonical``
+    at weights q, in lexicographic order, built without the others.
+
+    While no odd-weight coordinate is nonzero, the next odd-weight one
+    takes 0 or 1..bound, never a negative value; after the first
+    nonzero one, every later coordinate takes its full range."""
+    n = len(q)
+    full = range(-bound, bound + 1)
+    last_odd = max((i for i, qi in enumerate(q) if qi % 2), default=-1)
+
+    def blocks(prefix: tuple[int, ...], i: int):
+        # the odd-weight entries of prefix are all 0: the sign is undecided
+        fixed = [(c,) for c in prefix]
+        if i > last_odd:
+            yield itertools.product(*fixed, *[full] * (n - i))
+        elif q[i] % 2:
+            yield from blocks(prefix + (0,), i + 1)
+            yield itertools.product(*fixed, range(1, bound + 1), *[full] * (n - i - 1))
+        else:
+            for v in full:
+                yield from blocks(prefix + (v,), i + 1)
+
+    return itertools.chain.from_iterable(blocks((), 0))
 
 
 def sign_canon(x: WPoint) -> WPoint:

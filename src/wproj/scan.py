@@ -11,33 +11,36 @@ the scan compares
 with q the product of the weights and r the generator count (or an
 explicit codimension override).  Rows are deterministic: fixed
 enumeration order, no timestamps or randomness in the serialized
-output.  Every candidate goes through one pure function, in this
-process or in a process pool, and the rows come back in enumeration
-order either way, so the report is the same for any worker count.
+output.
+
+The domain is cut into slices (``parts``), one per value of its first
+coordinate that varies.  With W workers, slice i is scanned by process
+i mod W: this one and W - 1 forked children, each of which enumerates,
+evaluates and renders its own slices.  The slices are merged in
+enumeration order, so the rows are the same for any worker count.  A
+failing slice ends its process's share, and the merge raises the
+error of the earliest failing slice in enumeration order: the error
+that one worker would have raised first.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Iterator, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .arith import s_part
 from .errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
-from .points import WPoint, is_sign_canonical, sign_canon
+from .points import WPoint, sign_canon, sign_canonical_tuples
 from .singular import is_singular
 from .weights import Weights
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,10 @@ class ScanRow:
     exceptional: bool
 
 
+# What a scan keeps of each row: the ScanRow itself, or its text
+Renderer = Callable[[ScanRow], object]
+
+
 @dataclass
 class ScanReport:
     config: ScanConfig
@@ -154,29 +161,36 @@ def s_units(primes: Sequence[int], max_value: int) -> list[int]:
     return sorted(values)
 
 
-def _enumerate_box(config: ScanConfig, domain: BoxDomain) -> Iterator[tuple[int, ...]]:
-    if len(domain.bounds) != len(config.weights):
-        raise ValueError("box bounds must match the number of coordinates")
-    ranges = [range(lo, hi + 1) for lo, hi in domain.bounds]
-    for point in itertools.product(*ranges):
-        if 0 in point:
-            continue  # the prime-to-S part of 0 is undefined
-        if wgcd(point, config.weights) != 1:
-            continue
-        yield point
+# A slice of the domain: the list of values of each coordinate, the
+# leading ones fixed to a single value.
+Part = tuple[Sequence[int], ...]
 
 
-def _enumerate_sunit(config: ScanConfig, domain: SUnitGrid) -> Iterator[tuple[int, ...]]:
-    units = s_units(domain.primes, domain.max_value)
-    n_free = len(config.weights) - 1
-    for tail in itertools.product(units, repeat=n_free):
-        yield (1,) + tail
+def parts(config: ScanConfig) -> list[Part]:
+    """The domain's slices in enumeration order: one per value of the
+    first coordinate of a box, or of the first free coordinate of an
+    S-unit grid (x_0 = 1)."""
+    domain = config.domain
+    if isinstance(domain, BoxDomain):
+        if len(domain.bounds) != len(config.weights):
+            raise ValueError("box bounds must match the number of coordinates")
+        first, *rest = (range(lo, hi + 1) for lo, hi in domain.bounds)
+        return [((v,), *rest) for v in first]
+    units = s_units(domain.primes, domain.max_value)  # once per scan
+    if len(config.weights) == 1:
+        return [((1,),)]
+    rest = (units,) * (len(config.weights) - 2)
+    return [((1,), (u,), *rest) for u in units]
 
 
-def candidate_points(config: ScanConfig) -> Iterator[tuple[int, ...]]:
-    if isinstance(config.domain, BoxDomain):
-        return _enumerate_box(config, config.domain)
-    return _enumerate_sunit(config, config.domain)
+def candidate_points(config: ScanConfig, part: Part) -> Iterator[tuple[int, ...]]:
+    """The slice's candidates in lexicographic order.  A box drops the
+    tuples with a zero coordinate (the prime-to-S part of 0 is
+    undefined) or a weighted GCD above 1; an S-unit tuple has neither."""
+    points = itertools.product(*part)
+    if isinstance(config.domain, SUnitGrid):
+        return points
+    return (p for p in points if 0 not in p and wgcd(p, config.weights) == 1)
 
 
 def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None:
@@ -203,36 +217,144 @@ def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None
     return ScanRow(point, lhs, rhs, ratio, exceptional)
 
 
-def vojta_scan(config: ScanConfig, workers: int = 1) -> ScanReport:
+def _scan_part(config: ScanConfig, render: Renderer, part: Part):
+    """(candidates, skipped, exceptional, max ratio, rendered rows) of one slice."""
+    total = skipped = exceptional = 0
+    max_ratio = -math.inf
+    rows = []
+    for point in candidate_points(config, part):
+        total += 1
+        row = evaluate_point(config, point)
+        if row is None:
+            skipped += 1
+            continue
+        exceptional += row.exceptional
+        if row.ratio > max_ratio:
+            max_ratio = row.ratio
+        rows.append(render(row))
+    return total, skipped, exceptional, max_ratio, rows
+
+
+def _scan_share(config: ScanConfig, render: Renderer, share: Iterable[Part]) -> list:
+    """The results of the slices in order; an exception stands in for
+    the first slice that raises one, and ends the list."""
+    results = []
+    for part in share:
+        try:
+            results.append(_scan_part(config, render, part))
+        except Exception as exc:  # handed to the merge, which raises it in order
+            results.append(exc)
+            break
+    return results
+
+
+class _Child:
+    """A forked process that scans one share and sends its results back,
+    pickled, through a pipe.
+
+    The child leaves by ``os._exit``, so it never flushes the parent's
+    stdio buffers or runs its exit handlers.  wproj starts no threads,
+    so the fork copies a consistent interpreter; the config and the
+    renderer are inherited, not pickled."""
+
+    def __init__(self, config: ScanConfig, render: Renderer, share: Sequence[Part]):
+        import pickle
+
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                data = pickle.dumps(_scan_share(config, render, share))
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(data)  # all of it or, on a failure above, nothing
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+        self.reaped = False
+
+    def results(self) -> list:
+        """Read the child's results, then reap it."""
+        import pickle
+
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.reaped = True
+        if not data:
+            raise RuntimeError(
+                f"scan worker {self.pid} exited without a result "
+                f"(exit code {os.waitstatus_to_exitcode(status)})"
+            )
+        return pickle.loads(data)
+
+    def kill(self) -> None:
+        if not self.reaped:
+            import signal
+
+            self.pipe.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.reaped = True
+
+
+def _identity(row: ScanRow) -> ScanRow:
+    return row
+
+
+def vojta_scan(
+    config: ScanConfig,
+    workers: int = 1,
+    render: Renderer = _identity,
+) -> ScanReport:
     """Tabulate the inequality over the configured domain.
 
-    With ``workers > 1`` the points are evaluated in a process pool of
-    at most ``os.cpu_count()`` processes; its map returns the rows in
-    enumeration order, so the report is identical for any worker count.
+    ``ScanReport.rows`` holds ``render(row)`` for each row, by default
+    the ``ScanRow`` itself.  With ``workers > 1`` the slices are shared
+    out among this process and at most ``os.cpu_count() - 1`` forked
+    children (none where ``os.fork`` does not exist); the report is the
+    same for any worker count, and so is the error raised.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
-    total = 0
-    skipped = 0
-    rows: list[ScanRow] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-    with pool:
-        mapper = partial(pool.map, chunksize=_CHUNK) if workers > 1 else map
-        for row in mapper(evaluate_point, itertools.repeat(config), candidate_points(config)):
-            total += 1
-            if row is None:
-                skipped += 1
-            else:
-                rows.append(row)
+    slices = parts(config)
+    if not hasattr(os, "fork"):
+        workers = 1
+    workers = min(workers, os.cpu_count() or 1, len(slices))
+    children: list[_Child] = []
+    try:
+        for i in range(1, workers):
+            children.append(_Child(config, render, slices[i::workers]))
+        shares = [_scan_share(config, render, slices[::workers])]
+        shares += [child.results() for child in children]
+    finally:
+        for child in children:
+            child.kill()
+    total = skipped = exceptional = 0
+    max_ratio = -math.inf
+    rows: list = []
+    # slice i is entry i // workers of share i % workers; a share that
+    # stopped early has raised before its padding is reached
+    for result in itertools.chain.from_iterable(itertools.zip_longest(*shares)):
+        if result is None:
+            continue
+        if isinstance(result, Exception):
+            raise result
+        part_total, part_skipped, part_exceptional, part_max, part_rows = result
+        total += part_total
+        skipped += part_skipped
+        exceptional += part_exceptional
+        max_ratio = max(max_ratio, part_max)
+        rows += part_rows
     if total == 0:
         raise EmptyDomain("no candidate points in the configured domain")
     if not rows:
         raise DegenerateGenerators(
             "the generators vanish at every candidate point"
         )
-    exceptional = sum(1 for row in rows if row.exceptional)
-    max_ratio = max(row.ratio for row in rows)
     return ScanReport(
         config=config,
         rows=rows,
@@ -267,10 +389,9 @@ class AuditReport:
 
 def _canonical_points(w: Weights, bound: int) -> Iterator[tuple[int, ...]]:
     """Normalized integral representatives with |x_i| <= bound, in
-    lexicographic order: the sign canon, tested on the int tuple first,
-    then weighted GCD 1."""
-    for point in itertools.product(range(-bound, bound + 1), repeat=len(w)):
-        if is_sign_canonical(point, w.q) and any(point) and wgcd(point, w) == 1:
+    lexicographic order: the sign-canonical tuples with weighted GCD 1."""
+    for point in sign_canonical_tuples(w.q, bound):
+        if any(point) and wgcd(point, w) == 1:
             yield point
 
 

@@ -127,15 +127,6 @@ class WPolynomial:
     def __sub__(self, other: "WPolynomial") -> "WPolynomial":
         return self + (-other)
 
-    def __mul__(self, other: "WPolynomial") -> "WPolynomial":
-        if self.weights != other.weights:
-            raise ArityMismatch("polynomials have different weights")
-        products = []
-        for c1, e1 in self.terms:
-            for c2, e2 in other.terms:
-                products.append((c1 * c2, tuple(a + b for a, b in zip(e1, e2))))
-        return WPolynomial(tuple(products), self.weights)
-
     def __str__(self) -> str:
         return to_string(self)
 

@@ -57,3 +57,13 @@ def rand_homogeneous(rng, weights: Weights, degree: int | None = None) -> WPolyn
     return WPolynomial.from_terms(
         [(Fraction(rng.randint(1, 9)), e) for e in chosen], weights
     )
+
+
+def product(f: WPolynomial, g: WPolynomial) -> WPolynomial:
+    """f * g, term by term (the library has no caller for a product)."""
+    terms = [
+        (c1 * c2, tuple(a + b for a, b in zip(e1, e2)))
+        for c1, e1 in f.terms
+        for c2, e2 in g.terms
+    ]
+    return WPolynomial(tuple(terms), f.weights)

@@ -1,13 +1,33 @@
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from wproj.cli import _rat, format_audit_json, main
-from wproj.scan import AuditReport, AuditRow, sing1_audit
+
+from wproj.cli import (
+    _config_record,
+    _json_row,
+    _rat,
+    _real,
+    format_audit_json,
+    format_scan_json,
+    main,
+)
+from wproj.gcdops import Subscheme
+from wproj.scan import (
+    AuditReport,
+    AuditRow,
+    BoxDomain,
+    ScanConfig,
+    SUnitGrid,
+    sing1_audit,
+    vojta_scan,
+)
 from wproj.weights import Weights
+from wproj.wpoly import parse_polynomial
 
 
 def run_cli(capsys, *args):
@@ -187,6 +207,112 @@ def test_audit_json_matches_the_json_module():
     for report in reports:
         expected = json.dumps(_audit_record(report), indent=2) + "\n"
         assert format_audit_json(report) == expected
+
+
+def _scan_record(report):
+    # the record format_scan_json lays out, as json.dumps(indent=2) would
+    return {
+        "config": _config_record(report.config),
+        "rows": [
+            {
+                "point": "[" + ":".join(str(v) for v in row.point) + "]",
+                "lhs": row.lhs,
+                "rhs": _real(row.rhs),
+                "ratio": _real(row.ratio),
+                "exceptional": row.exceptional,
+            }
+            for row in report.rows
+        ],
+        "summary": {
+            "rows": len(report.rows),
+            "candidates": report.total_candidates,
+            "skipped_on_subscheme": report.skipped_on_subscheme,
+            "exceptional": report.exceptional_count,
+            "max_ratio": _real(report.max_ratio),
+        },
+    }
+
+
+def _scan_config(q, generators, gcd_q, epsilon, s_primes, domain, codim=None):
+    w = Weights.of(*q)
+    gens = tuple(parse_polynomial(g, w) for g in generators)
+    return ScanConfig(
+        weights=w,
+        subscheme=Subscheme(gens, Weights.of(*gcd_q)),
+        epsilon=Fraction(epsilon),
+        delta=Fraction(0),
+        s_primes=frozenset(s_primes),
+        domain=domain,
+        codim=codim,
+    )
+
+
+@pytest.mark.parametrize("config", [
+    # a box with negative coordinates, and the benchmark's box scan
+    _scan_config((1, 1, 1), ("x1-x0", "x2-x0"), (1, 1), 1, (), BoxDomain.symmetric(4, 3)),
+    _scan_config((1, 1, 2), ("x1-x0", "x2-x0"), (1, 1), "1/2", (2,),
+                 BoxDomain.symmetric(14, 3)),
+    # the README S-unit preset
+    _scan_config((1, 2, 3), ("x1-x0", "x2-x0"), (2, 3), 1, (2, 3),
+                 SUnitGrid((2, 3), 1_000_000)),
+    # a codimension override
+    _scan_config((1, 1, 1), ("x1-x0", "x2-x0"), (1, 1), 1, (3,),
+                 BoxDomain(((-3, 5), (1, 4), (-2, 6))), codim=3),
+])
+def test_scan_json_matches_the_json_module(monkeypatch, config):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # fork a worker on any machine
+    rows = vojta_scan(config)
+    expected = json.dumps(_scan_record(rows), indent=2) + "\n"
+    assert format_scan_json(rows) == expected
+    for workers in (1, 2):
+        rendered = vojta_scan(config, workers=workers, render=_json_row)
+        assert format_scan_json(rendered) == expected
+
+
+SCAN_ARGVS = [
+    ("--weights", "(1,1,2)", "--generators", "x1-x0;x2-x0", "--gcd-weights", "(1,1)",
+     "--epsilon", "1/2", "--s-primes", "2", "--domain", "box:6"),
+    ("--weights", "(1,2,3)", "--generators", "x1-x0;x2-x0", "--main2-default",
+     "--s-primes", "2,3", "--domain", "sunit:2,3:2000"),
+    ("--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0", "--codim", "3",
+     "--domain", "box:-3..5,1..4,-2..6"),
+    # the first non-integral value is in slice 0, which a child also fails
+    ("--weights", "(1,1,1)", "--generators", "1/2*x1-x0;x2-x0", "--s-primes", "2",
+     "--domain", "box:2"),
+    # only a child's slices (x0 odd) fail
+    ("--weights", "(1,1,1)", "--generators", "1/2*x0-x1;x2-x0", "--s-primes", "2",
+     "--domain", "box:2"),
+    # a child fails at slice 1 (1/3), this process later, at slice 2 (2/3)
+    ("--weights", "(1,1,1)", "--generators", "1/3*x0-x1;x2-x0",
+     "--domain", "box:3..5,1..2,1..2"),
+    ("--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0", "--domain", "box:0..0,0..0,0..0"),
+    ("--weights", "(1,1)", "--generators", "x1-x0", "--delta", "1",
+     "--domain", "box:1..1,1..1"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", SCAN_ARGVS)
+def test_scan_output_is_the_same_for_any_worker_count(monkeypatch, capsys, argv, fmt):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # two forked children on any machine
+    runs = [run_cli(capsys, "vojta-scan", *argv, "--format", fmt, "--workers", str(n))
+            for n in (1, 2, 3)]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_child_side_error_matches_one_worker(monkeypatch, capsys):
+    # x0 = -1 is the first slice with a non-integral value, and a child's
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("vojta-scan", "--weights", "(1,1,1)", "--generators", "1/2*x0-x1;x2-x0",
+            "--domain", "box:2")
+    code, out, err = run_cli(capsys, *argv, "--workers", "2")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "non-integral-value", "message": "3/2 is not an integer"
+    }
+    assert run_cli(capsys, *argv, "--workers", "1") == (code, out, err)
 
 
 def test_parse_error_exit_code(capsys):

@@ -19,7 +19,13 @@ from wproj.points import WPoint, normalize
 from wproj.weights import Weights
 from wproj.wpoly import WPolynomial, evaluate, parse_polynomial
 
-from helpers import monomials_of_degree, rand_homogeneous, rand_integral_point, rand_point
+from helpers import (
+    monomials_of_degree,
+    product,
+    rand_homogeneous,
+    rand_integral_point,
+    rand_point,
+)
 from oracles import subscheme_global_height, subscheme_local_height
 
 W23 = Weights.of(2, 3)
@@ -163,7 +169,7 @@ def test_additivity_through_products():
         vf, vg = evaluate(f, x.coords), evaluate(g, x.coords)
         if vf == 0 or vg == 0:
             continue
-        fg = f * g
+        fg = product(f, g)
         for place in relevant_places([c for c in x.coords if c != 0] + [vf, vg]):
             zf = zeta_principal(x, f, place)
             zg = zeta_principal(x, g, place)

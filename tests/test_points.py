@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,11 +18,13 @@ from wproj.points import (
     WPoint,
     apply_weight_map,
     equals,
+    is_sign_canonical,
     normalize,
     parse_point,
     reduce_projective,
     scale,
     sign_canon,
+    sign_canonical_tuples,
     veronese,
 )
 from wproj.weights import Weights, reduce, veronese_data, well_formed_model
@@ -81,6 +84,17 @@ def test_normalize_sign_canon():
     # all-even weights: -1 acts trivially, nothing to fix
     x = WPoint.of((-1, 1), Weights.of(2, 2))
     assert sign_canon(x).coords == (-1, 1)
+
+
+@pytest.mark.parametrize("q", [
+    (2, 3, 5), (2, 5, 3), (1, 1), (1, 2, 3), (1, 1, 1, 1), (1, 4, 6, 9), (2, 4, 6),
+    (3,), (2,), (2, 2, 1), (1, 2, 2),
+])
+def test_sign_canonical_tuples_are_the_filtered_box(q):
+    for bound in range(7):
+        box = itertools.product(range(-bound, bound + 1), repeat=len(q))
+        expected = [p for p in box if is_sign_canonical(p, q)]
+        assert list(sign_canonical_tuples(q, bound)) == expected, bound
 
 
 def test_equals_examples():

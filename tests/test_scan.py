@@ -10,7 +10,12 @@ import wproj.gcdops
 import wproj.scan
 from wproj.arith import s_part
 from wproj.cli import main
-from wproj.errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
+from wproj.errors import (
+    DegenerateGenerators,
+    EmptyDomain,
+    IllFormedWeights,
+    NonIntegralValue,
+)
 from wproj.gcdops import Subscheme, log_hwgcd, wgcd
 from wproj.scan import (
     BoxDomain,
@@ -137,8 +142,8 @@ def test_scan_serializations_are_byte_identical():
 
 
 def test_scan_workers_match_sequential(monkeypatch):
-    # the README S-unit preset: more than two pool chunks, and (1,1,1)
-    # is skipped on the subscheme
+    # the README S-unit preset: more than two slices per process, and
+    # (1,1,1) is skipped on the subscheme
     w = Weights.of(1, 2, 3)
     config = ScanConfig(
         weights=w,
@@ -151,10 +156,10 @@ def test_scan_workers_match_sequential(monkeypatch):
         s_primes=frozenset({2, 3}),
         domain=SUnitGrid((2, 3), 1_000_000),
     )
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # run the pool on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # fork a worker on any machine
     pooled = vojta_scan(config, workers=2)
     serial = vojta_scan(config)
-    assert serial.total_candidates > 2 * wproj.scan._CHUNK
+    assert len(wproj.scan.parts(config)) > 2 * 2
     assert serial.skipped_on_subscheme == 1
     assert pooled.rows == serial.rows
     assert pooled.total_candidates == serial.total_candidates
@@ -163,31 +168,45 @@ def test_scan_workers_match_sequential(monkeypatch):
     assert pooled.max_ratio == serial.max_ratio
 
 
+@pytest.mark.parametrize("config", [
+    make_config(),
+    make_config(domain=SUnitGrid((2, 3), 200), s_primes=frozenset({2, 3})),
+    make_config(domain=BoxDomain(((2, 2), (-3, 3), (-3, 3)))),
+])
+def test_parts_concatenate_to_the_enumeration(config):
+    # the slices, in order, are the lexicographic enumeration of the domain
+    points = [p for part in wproj.scan.parts(config)
+              for p in wproj.scan.candidate_points(config, part)]
+    if isinstance(config.domain, BoxDomain):
+        box = itertools.product(*(range(lo, hi + 1) for lo, hi in config.domain.bounds))
+        expected = [p for p in box if 0 not in p and wgcd(p, config.weights) == 1]
+    else:
+        units = s_units(config.domain.primes, config.domain.max_value)
+        expected = [(1,) + tail for tail in itertools.product(units, repeat=2)]
+    assert points == expected
+
+
 @pytest.fixture
-def fake_pool(monkeypatch):
-    """Replaces the process pool by one that records max_workers and
-    starts nothing; returns the recorded values."""
-    created = []
+def fake_children(monkeypatch):
+    """Replaces the forked child by a stand-in that scans its share in
+    this process when its results are read, and starts no process;
+    returns the share of every child the scans would have started."""
+    started = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
+    class FakeChild:
+        def __init__(self, config, render, share):
+            started.append(share)
+            self.results = lambda: wproj.scan._scan_share(config, render, share)
 
-        def __enter__(self):
-            return self
+        def kill(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(wproj.scan, "ProcessPoolExecutor", FakePool)
-    return created
+    monkeypatch.setattr(wproj.scan, "_Child", FakeChild)
+    return started
 
 
 @pytest.mark.parametrize("workers", [0, -3])
-def test_scan_rejects_workers_below_one(fake_pool, capsys, workers):
+def test_scan_rejects_workers_below_one(fake_children, capsys, workers):
     with pytest.raises(ValueError):
         vojta_scan(make_config(), workers=workers)
     code = main([
@@ -196,20 +215,93 @@ def test_scan_rejects_workers_below_one(fake_pool, capsys, workers):
     ])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "parse-error"
-    assert fake_pool == []
+    assert fake_children == []
 
 
-def test_scan_pool_is_capped_at_cpu_count(fake_pool, monkeypatch):
+def test_scan_pool_is_capped_at_cpu_count(fake_children, monkeypatch):
     config = make_config(domain=BoxDomain.symmetric(2, 3))
     serial = vojta_scan(config)
+    slices = wproj.scan.parts(config)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert vojta_scan(config, workers=100_000).rows == serial.rows
+    # slice i goes to process i mod 3; this process scans slices[0::3]
+    assert fake_children == [slices[1::3], slices[2::3]]
     assert vojta_scan(config, workers=2).rows == serial.rows
-    assert fake_pool == [3, 2]
-    for cpus in (1, None):  # one CPU, or an unknown count: no pool at all
+    assert fake_children == [slices[1::3], slices[2::3], slices[1::2]]
+    for cpus in (1, None):  # one CPU, or an unknown count: no child at all
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert vojta_scan(config, workers=100_000).rows == serial.rows
-    assert fake_pool == [3, 2]
+    assert len(fake_children) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(os, "fork")  # a platform without fork scans serially
+    assert vojta_scan(config, workers=3).rows == serial.rows
+    assert len(fake_children) == 3
+
+
+def test_scan_raises_the_earliest_failing_slice(fake_children, monkeypatch):
+    # slices 1 and 2 fail; slice 2 belongs to this process, slice 1 to a child
+    def render(row):
+        if row.point[0] in (2, 3):
+            raise ValueError(f"slice x0 = {row.point[0]}")
+        return row
+
+    config = make_config(domain=BoxDomain(((1, 5), (1, 2), (1, 2))))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="^slice x0 = 2$"):
+            vojta_scan(config, workers=workers, render=render)
+    assert fake_children == [wproj.scan.parts(config)[1::2]]
+
+
+def _forking(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # fork a worker on any machine
+    return os.getpid()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failure_in_this_process_leaves_no_child(monkeypatch):
+    # the first non-integral value lies in slice 0, this process's own share
+    _forking(monkeypatch)
+    config = make_config(subscheme=Subscheme((
+        parse_polynomial("1/2*x1-x0", W111), parse_polynomial("x2-x0", W111),
+    )), domain=BoxDomain.symmetric(2, 3))
+    with pytest.raises(NonIntegralValue, match="^3/2 is not an integer$"):
+        vojta_scan(config, workers=2)
+    _assert_no_child_left()
+
+
+def test_interrupt_kills_and_reaps_the_children(monkeypatch):
+    parent = _forking(monkeypatch)
+
+    class Interrupt(BaseException):
+        pass
+
+    def render(row):
+        if os.getpid() == parent:
+            raise Interrupt
+        return row
+
+    with pytest.raises(Interrupt):
+        vojta_scan(make_config(), workers=2, render=render)
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
+    parent = _forking(monkeypatch)
+
+    def render(row):
+        if os.getpid() != parent:
+            os._exit(7)
+        return row
+
+    died = r"^scan worker \d+ exited without a result \(exit code 7\)$"
+    with pytest.raises(RuntimeError, match=died):
+        vojta_scan(make_config(), workers=2, render=render)
+    _assert_no_child_left()
 
 
 def test_sunit_grid_scan():
