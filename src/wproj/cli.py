@@ -405,13 +405,19 @@ def format_audit_json(report: AuditReport) -> str:
         },
     }, indent=2)
     rows = []
+    texts: dict = {}  # a (prime, floors, min) entry recurs across points
     for row in report.counterexamples:
-        valuations = [
-            f'{{\n          "prime": {p},\n          "floors": '
-            + _json_list([str(f) if f >= 0 else '"inf"' for f in floors], 5)
-            + f',\n          "min": {minimum}\n        }}'
-            for p, floors, minimum in row.valuations
-        ]
+        valuations = []
+        for entry in row.valuations:
+            text = texts.get(entry)
+            if text is None:
+                p, floors, minimum = entry
+                text = texts[entry] = (
+                    f'{{\n          "prime": {p},\n          "floors": '
+                    + _json_list([str(f) if f >= 0 else '"inf"' for f in floors], 5)
+                    + f',\n          "min": {minimum}\n        }}'
+                )
+            valuations.append(text)
         rows.append(
             f'{{\n      "point": "{format_point(row.point)}",\n'
             '      "log_hwgcd_zero": true,\n      "singular": false,\n'

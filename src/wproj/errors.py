@@ -92,6 +92,10 @@ class DegenerateGenerators(WProjError):
     code = "degenerate-generators"
 
 
+class FloatOverflow(WProjError):
+    code = "float-overflow"
+
+
 class FactoringBudgetExceeded(WProjError):
     code = "factoring-budget"
 

@@ -34,11 +34,11 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .arith import s_part
-from .errors import DegenerateGenerators, EmptyDomain, IllFormedWeights
+from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
-from .gcdops import Subscheme, log_hwgcd, wgcd
+from .gcdops import Subscheme, _wgcd_value, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
-from .points import WPoint, sign_canon, sign_canonical_tuples
+from .points import WPoint, format_point, sign_canon, sign_canonical_tuples
 from .singular import is_singular
 from .weights import Weights
 
@@ -120,6 +120,31 @@ class ScanConfig:
         D = math.lcm(s_exp.denominator, *(e.denominator for e in coord))
         return D, tuple(int(e * D) for e in coord), int(s_exp * D)
 
+    @cached_property
+    def coordinate_values(self) -> tuple[Sequence[int], ...]:
+        """The values each coordinate takes over the domain, in order."""
+        domain = self.domain
+        if isinstance(domain, BoxDomain):
+            if len(domain.bounds) != len(self.weights):
+                raise ValueError("box bounds must match the number of coordinates")
+            return tuple(range(lo, hi + 1) for lo, hi in domain.bounds)
+        units = s_units(domain.primes, domain.max_value)
+        return ((1,),) + (units,) * (len(self.weights) - 1)
+
+    @cached_property
+    def coordinate_terms(self) -> tuple[dict[int, tuple[float, int]], ...]:
+        """Per coordinate i, v -> (log|v|/q_i, s_part(v, S)) for each
+        nonzero value v the domain gives it: all that rhs needs of one
+        coordinate, computed once per value instead of once per tuple."""
+        return tuple(
+            {v: _coordinate_term(v, q, self.s_primes) for v in values if v}
+            for values, q in zip(self.coordinate_values, self.weights.q)
+        )
+
+
+def _coordinate_term(v: int, q: int, s_primes: frozenset[int]) -> tuple[float, int]:
+    return math.log(abs(v)) / q, s_part(v, s_primes)
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -170,17 +195,11 @@ def parts(config: ScanConfig) -> list[Part]:
     """The domain's slices in enumeration order: one per value of the
     first coordinate of a box, or of the first free coordinate of an
     S-unit grid (x_0 = 1)."""
-    domain = config.domain
-    if isinstance(domain, BoxDomain):
-        if len(domain.bounds) != len(config.weights):
-            raise ValueError("box bounds must match the number of coordinates")
-        first, *rest = (range(lo, hi + 1) for lo, hi in domain.bounds)
-        return [((v,), *rest) for v in first]
-    units = s_units(domain.primes, domain.max_value)  # once per scan
-    if len(config.weights) == 1:
-        return [((1,),)]
-    rest = (units,) * (len(config.weights) - 2)
-    return [((1,), (u,), *rest) for u in units]
+    values = config.coordinate_values
+    i = 0 if isinstance(config.domain, BoxDomain) else 1
+    if i == len(values):
+        return [values]
+    return [(*values[:i], (v,), *values[i + 1:]) for v in values[i]]
 
 
 def candidate_points(config: ScanConfig, part: Part) -> Iterator[tuple[int, ...]]:
@@ -197,17 +216,32 @@ def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None
     """One scan row, or None when every generator vanishes there.
 
     ``point`` is a tuple of ints; every value stays an int up to lhs.
+    The coordinates' terms come from ``config.coordinate_terms``, or are
+    computed here for a point outside the domain.  The prime-to-S part
+    is multiplicative, so their product is s_part(x_0 ... x_n, S).
     The floats decide lhs > rhs unless lhs / rhs is within 1e-9 of 1,
     far above their rounding error; there lhs^D > rhs^D decides."""
     values = config.subscheme.values_at(point)
     if not any(values):
         return None
-    lhs = wgcd(values, config.subscheme.gcd_weights)
-    log_max = max(math.log(abs(v)) / q for v, q in zip(point, config.weights.q))
-    stripped = s_part(math.prod(point), config.s_primes)
+    lhs = _wgcd_value(values, config.subscheme.gcd_weights)  # ints, not all 0
+    try:
+        terms = [table[v] for table, v in zip(config.coordinate_terms, point)]
+    except KeyError:  # a point outside the domain
+        pairs = zip(point, config.weights.q)
+        terms = [_coordinate_term(v, q, config.s_primes) for v, q in pairs]
+    logs, coord_parts = zip(*terms)
+    log_max = max(logs)
+    stripped = math.prod(coord_parts)
     log_rhs = config.float_epsilon * log_max + math.log(stripped) * config.rhs_exponent
-    rhs = math.exp(log_rhs)
-    ratio = lhs / rhs
+    try:
+        rhs = math.exp(log_rhs)
+        ratio = lhs / rhs
+    except OverflowError:
+        raise FloatOverflow(
+            f"the row at {format_point(point)} leaves the float range "
+            f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
+        ) from None
     if abs(ratio - 1.0) > 1e-9:
         exceptional = lhs > rhs
     else:
@@ -395,21 +429,27 @@ def _canonical_points(w: Weights, bound: int) -> Iterator[tuple[int, ...]]:
             yield point
 
 
-def _valuation_table(point: tuple[int, ...], w: Weights):
-    from .arith import factorize, ord_int
+def _valuation_floors(w: Weights, bound: int) -> tuple[dict, ...]:
+    """Per coordinate i, v -> {p: floor(ord_p(v)/q_i)} over the primes p
+    of v, for |v| <= bound; None at v = 0, where the floor is +infinity."""
+    from .arith import factorize  # looked up per call: a tracer may rebind it
 
-    primes: set[int] = set()
-    for v in point:
-        if v != 0:
-            primes.update(factorize(v).primes())
+    factors = {v: factorize(v).factors for v in range(1, bound + 1)}
+    return tuple(
+        {v: {p: e // q for p, e in factors[abs(v)]} if v else None
+         for v in range(-bound, bound + 1)}
+        for q in w.q
+    )
+
+
+def _valuation_table(point: tuple[int, ...], floors: tuple[dict, ...]):
+    """(prime, floors, min) for each prime of a coordinate, read from
+    ``_valuation_floors``; -1 marks +infinity."""
+    entries = [column[v] for column, v in zip(floors, point)]
     table = []
-    for p in sorted(primes):
-        floors = tuple(
-            ord_int(v, p) // q if v != 0 else -1  # -1 marks +infinity
-            for v, q in zip(point, w.q)
-        )
-        finite = [f for f in floors if f >= 0]
-        table.append((p, floors, min(finite) if finite else -1))
+    for p in sorted(set().union(*filter(None, entries))):
+        row = tuple(-1 if e is None else e.get(p, 0) for e in entries)
+        table.append((p, row, min(f for f in row if f >= 0)))
     return tuple(table)
 
 
@@ -425,7 +465,9 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
     point is integral with weighted GCD 1, so its finite part is log wgcd
     = 0, and each archimedean term max(-log|x_i|, 0) is 0 as |x_i| >= 1.
     Singularity depends only on the support, so ``is_singular`` runs once
-    per support (at most 2^n - 1 times) and its answer is reused.
+    per support (at most 2^n - 1 times) and its answer is reused.  Each
+    |v| <= bound is factored once, and a point's floors are read from
+    the per-coordinate tables of ``_valuation_floors``.
     """
     if not w.is_well_formed():
         raise IllFormedWeights(f"weights {w} are not well-formed")
@@ -433,6 +475,7 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
     singular_count = 0
     counterexamples: list[AuditRow] = []
     by_support: dict[tuple[bool, ...], bool] = {}
+    floors = _valuation_floors(w, bound)
     for point in _canonical_points(w, bound):
         total += 1
         support = tuple(map(bool, point))
@@ -442,7 +485,7 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
         if singular:
             singular_count += 1
         else:
-            counterexamples.append(AuditRow(point, _valuation_table(point, w)))
+            counterexamples.append(AuditRow(point, _valuation_table(point, floors)))
     return AuditReport(
         weights=w,
         bound=bound,

@@ -141,10 +141,6 @@ def weighted_degree(f: WPolynomial):
     return MIXED
 
 
-def is_homogeneous(f: WPolynomial) -> bool:
-    return weighted_degree(f) is not MIXED
-
-
 def scaled_value(f: WPolynomial, xs: Sequence[RationalLike]) -> RationalLike:
     """D * f(xs), D = f.integer_form[0], from the integer form: an int at
     an int tuple, a Fraction at a Fraction tuple."""

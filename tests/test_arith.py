@@ -177,6 +177,16 @@ def test_s_part_complement(n):
     assert all(p in (2, 3, 5) for p, _ in factorize(cofactor).factors)
 
 
+@given(
+    st.integers(min_value=-10 ** 12, max_value=10 ** 12).filter(bool),
+    st.integers(min_value=-10 ** 12, max_value=10 ** 12).filter(bool),
+    st.frozensets(st.sampled_from([2, 3, 5, 7, 11, 13])),
+)
+def test_s_part_is_multiplicative(a, b, s_primes):
+    # the scan multiplies per-coordinate prime-to-S parts on this identity
+    assert s_part(a * b, s_primes) == s_part(a, s_primes) * s_part(b, s_primes)
+
+
 def _strip_by_trial_division(n, s_primes):
     n = abs(n)
     for p in s_primes:

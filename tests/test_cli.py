@@ -315,6 +315,26 @@ def test_child_side_error_matches_one_worker(monkeypatch, capsys):
     assert run_cli(capsys, *argv, "--workers", "1") == (code, out, err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    # epsilon 1000 puts rhs past the float range: once an uncaught OverflowError
+    (("--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0", "--epsilon", "1000",
+      "--domain", "box:3"),
+     "the row at [-3:-3:-2] leaves the float range (log rhs = 1101.5, lhs has 1 bits)"),
+    # an lhs of 10^400 - 9^400 has no float for the ratio
+    (("--weights", "(1,1)", "--generators", "x1^400-x0^400", "--gcd-weights", "(1)",
+      "--delta", "1", "--domain", "box:10"),
+     "the row at [-10:-9] leaves the float range (log rhs = 6.80239, lhs has 1329 bits)"),
+])
+def test_float_overflow_is_an_error_record_for_any_worker_count(
+    monkeypatch, capsys, argv, message
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run_cli(capsys, "vojta-scan", *argv)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "float-overflow", "message": message}
+    assert run_cli(capsys, "vojta-scan", *argv, "--workers", "2") == (code, out, err)
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "height", "[3:4]", "--weights", "bogus")
     assert code == 2

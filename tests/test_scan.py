@@ -5,7 +5,9 @@ import os
 from fractions import Fraction
 
 import pytest
+import sympy
 
+import wproj.arith
 import wproj.gcdops
 import wproj.scan
 from wproj.arith import s_part
@@ -13,6 +15,7 @@ from wproj.cli import main
 from wproj.errors import (
     DegenerateGenerators,
     EmptyDomain,
+    FloatOverflow,
     IllFormedWeights,
     NonIntegralValue,
 )
@@ -598,3 +601,173 @@ def test_sing1_audit_stays_off_the_fraction_path(monkeypatch):
     report = sing1_audit(Weights.of(2, 3, 5), 6)
     assert report.total_points > 1000
     assert len(calls) <= 2 ** 3 - 1
+
+
+def _valuations_oracle(point, q):
+    """(prime, floors, min) from sympy's factorizations; -1 marks a zero
+    coordinate's +infinity."""
+    factors = [sympy.factorint(abs(v)) if v else None for v in point]
+    primes = sorted(set().union(*(f for f in factors if f)))
+    table = []
+    for p in primes:
+        floors = tuple(-1 if f is None else f.get(p, 0) // qi for f, qi in zip(factors, q))
+        table.append((p, floors, min(f for f in floors if f >= 0)))
+    return tuple(table)
+
+
+@pytest.mark.parametrize(
+    "q, bound", [((2, 3, 5), 8), ((1, 1, 1), 6), ((1, 4, 6, 9), 3), ((3, 4, 5), 6), ((1, 2, 2, 3), 4)]
+)
+def test_audit_valuations_match_the_sympy_oracle(q, bound):
+    report = sing1_audit(Weights.of(*q), bound)
+    rows = report.counterexamples
+    for row in rows:
+        assert row.valuations == _valuations_oracle(row.point, q), row.point
+    # the cases the tables must get right are all present
+    assert any(-1 in floors for row in rows for _, floors, _ in row.valuations)
+    assert any(min(row.point) < 0 and row.valuations for row in rows)
+    assert any(row.valuations == () for row in rows)
+
+
+def _direct_row(config, point):
+    """The row from the formula itself: generator values through
+    Fractions, the logs taken here, s_part of the whole product."""
+    exact = tuple(Fraction(v) for v in point)
+    values = [evaluate(g, exact) for g in config.subscheme.generators]
+    assert all(v.denominator == 1 for v in values)
+    if not any(values):
+        return None
+    lhs = wgcd([int(v) for v in values], config.subscheme.gcd_weights)
+    q = config.weights.q
+    log_max = max(math.log(abs(v)) / qi for v, qi in zip(point, q))
+    stripped = s_part(math.prod(point), config.s_primes)
+    exponent = 1.0 / (config.weights.qprod * (config.r - 1 + float(config.delta)))
+    rhs = math.exp(float(config.epsilon) * log_max + math.log(stripped) * exponent)
+    # lhs > rhs on Fractions: both sides to the power D
+    coord = [config.epsilon / qi for qi in q]
+    s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
+    D = math.lcm(s_exp.denominator, *(e.denominator for e in coord))
+    rhs_pow = max(abs(v) ** int(e * D) for v, e in zip(point, coord)) * stripped ** int(s_exp * D)
+    return lhs, rhs.hex(), (lhs / rhs).hex(), lhs ** D > rhs_pow, stripped
+
+
+W123 = Weights.of(1, 2, 3)
+TABLE_CONFIGS = [
+    # S = {5, 7} leaves 2, 3 and 11 in the prime-to-S part
+    ScanConfig(
+        weights=W112,
+        subscheme=Subscheme(
+            (parse_polynomial("x1-x0", W112), parse_polynomial("x2-x0", W112)),
+            Weights.of(1, 1),
+        ),
+        epsilon=Fraction(1, 2),
+        delta=Fraction(0),
+        s_primes=frozenset({5, 7}),
+        domain=BoxDomain(((-11, 9), (-6, 11), (-10, 4))),
+    ),
+    ScanConfig(
+        weights=W123,
+        subscheme=Subscheme(
+            (parse_polynomial("x1-x0^2", W123), parse_polynomial("x2-x0^3", W123))
+        ),
+        epsilon=Fraction(2, 3),
+        delta=Fraction(1, 2),
+        s_primes=frozenset({3}),
+        domain=BoxDomain.symmetric(7, 3),
+    ),
+]
+
+
+@pytest.mark.parametrize("config", TABLE_CONFIGS)
+def test_rows_match_the_direct_formula_bit_for_bit(config):
+    sizes = [len(table) for table in config.coordinate_terms]
+    box = itertools.product(*(range(lo, hi + 1) for lo, hi in config.domain.bounds))
+    checked = stripped_above_one = lhs_above_one = 0
+    for point in box:
+        if 0 in point:
+            continue
+        row = evaluate_point(config, point)
+        expected = _direct_row(config, point)
+        if row is None:
+            assert expected is None, point
+            continue
+        assert (row.lhs, row.rhs.hex(), row.ratio.hex(), row.exceptional) == expected[:4], point
+        checked += 1
+        stripped_above_one += expected[4] > 1
+        lhs_above_one += row.lhs > 1
+    assert checked > 1000 and stripped_above_one and lhs_above_one
+    # a point outside the domain is evaluated, and grows no table
+    for point in [(23, -45, 12), (-3, 2 ** 70 + 1, 5), (1, 1, 10 ** 9 + 7)]:
+        row = evaluate_point(config, point)
+        assert (row.lhs, row.rhs.hex(), row.ratio.hex(), row.exceptional) == (
+            _direct_row(config, point)[:4]
+        )
+    assert [len(table) for table in config.coordinate_terms] == sizes
+
+
+def test_float_overflow_is_a_typed_error():
+    config = make_config(epsilon=Fraction(1000), domain=BoxDomain.symmetric(3, 3))
+    assert evaluate_point(config, (1, 2, 2)).rhs == pytest.approx(2.0 ** 1002)
+    with pytest.raises(FloatOverflow, match=r"^the row at \[-1:1:3\] .* \(log rhs = 1099\.71,"):
+        evaluate_point(config, (-1, 1, 3))
+    # an lhs of 10^400 - 1 has no float for the ratio
+    w = Weights.of(1, 1)
+    config = ScanConfig(
+        weights=w,
+        subscheme=Subscheme((parse_polynomial("x1^400-x0^400", w),), Weights.of(1)),
+        epsilon=Fraction(1),
+        delta=Fraction(1),
+        s_primes=frozenset(),
+        domain=BoxDomain.symmetric(10, 2),
+    )
+    assert evaluate_point(config, (1, 5)).lhs == 5 ** 400 - 1
+    with pytest.raises(FloatOverflow, match=r"^the row at \[1:10\] .*, lhs has 1329 bits\)$"):
+        evaluate_point(config, (1, 10))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_audit_factors_per_value_not_per_point(monkeypatch):
+    # the benchmark's seed-0 audit: weights (2,3,5), bound 11
+    calls = _counting(monkeypatch, wproj.arith, "factorize")
+    monkeypatch.setattr(wproj.gcdops, "factorize", wproj.arith.factorize)
+    w, bound = Weights.of(2, 3, 5), 11
+    report = sing1_audit(w, bound)
+    box = itertools.product(range(-bound, bound + 1), repeat=len(w))
+    gcd_above_one = sum(math.gcd(*point) > 1 for point in box)
+    assert len(calls) <= (2 * bound + 1) + gcd_above_one
+    assert report.total_points > 3 * len(calls)
+
+
+def test_scan_strips_per_value_not_per_tuple(monkeypatch):
+    # the benchmark's seed-0 sunit-preset and box-scan configurations
+    calls = _counting(monkeypatch, wproj.scan, "s_part")
+    sunit = ScanConfig(
+        weights=W123,
+        subscheme=Subscheme(
+            (parse_polynomial("x1-x0", W123), parse_polynomial("x2-x0", W123)),
+            Weights.of(2, 3),
+        ),
+        epsilon=Fraction(1),
+        delta=Fraction(0),
+        s_primes=frozenset({2, 3}),
+        domain=SUnitGrid((2, 3), 10 ** 6),
+    )
+    report = vojta_scan(sunit)
+    units = s_units((2, 3), 10 ** 6)
+    assert len(calls) <= 1 + 2 * len(units)
+    assert len(report.rows) == len(units) ** 2 - 1
+    calls.clear()
+    report = vojta_scan(tie_config(14))
+    assert len(calls) <= 3 * 28  # the nonzero values of each coordinate
+    assert len(report.rows) > 20_000
