@@ -6,6 +6,15 @@ p-adic valuations and their non-negative parts, prime-to-S parts, and
 exact formal sums of ``c * log p`` terms.  Finite-place data stays in
 integers (valuation multiplicities); floating point appears only when a
 formal sum is collapsed to a real number.
+
+Every comparison follows one rule: floats decide outside a proven
+margin, and exact work decides inside it under a budget, past which a
+typed error (``ComparisonBudgetExceeded``) is raised instead of running
+on.  ``LogValue._sign`` compares integer products of at most
+_SIGN_BUDGET bits, ``floor_log`` compares decimals of at most
+_EXP_DIGITS digits, and ``log_sum_sign`` (the Vojta scan's verdict near
+a tie) rewrites a sum of logs over a coprime base and hands it to
+``LogValue._sign``.
 """
 
 from __future__ import annotations
@@ -317,6 +326,52 @@ def s_part(n: int, s_primes: Iterable[int]) -> int:
     return n
 
 
+def coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 such that each of the given positive
+    integers is a product of their powers, found with gcds alone (factor
+    refinement; Bernstein, J. Algorithms 2005, does it in essentially
+    linear time).  Splitting b and n at g = gcd(b, n) keeps every number
+    seen so far a product of powers of the elements left, and lowers
+    their product by g, so the refinement ends."""
+    base: list[int] = []
+    todo = [n for n in numbers if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(b, n)
+            if g > 1:
+                del base[i]
+                todo += [m for m in (b // g, g, n // g) if m > 1]
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def log_sum_sign(terms: Iterable[tuple[int, RationalLike]]) -> int:
+    """Exact sign of sum c * log n over (n, c) pairs, each n >= 1.
+
+    The sum is rewritten over a coprime base of the n, with no
+    factoring.  The logs of pairwise coprime integers > 1 are linearly
+    independent over Q (by unique factorization), so the sum is 0 exactly
+    when every coefficient is; otherwise LogValue._sign decides it, whose
+    keys need only be pairwise coprime and > 1."""
+    terms = [(n, as_fraction(c)) for n, c in terms]
+    if any(n < 1 for n, _ in terms):
+        raise ValueError("log_sum_sign needs integers n >= 1")
+    base = coprime_base(n for n, _ in terms)
+    coeffs: dict[int, Fraction] = {}
+    for n, c in terms:
+        for b in base:
+            e = 0
+            while n % b == 0:
+                n //= b
+                e += 1
+            if e:
+                coeffs[b] = coeffs.get(b, Fraction(0)) + c * e
+    return LogValue(coeffs)._sign()
+
+
 def relevant_places(values: Sequence[RationalLike]) -> list[Place]:
     """Archimedean place plus every finite place where some value has
     nonzero valuation, in deterministic ascending order."""
@@ -449,7 +504,8 @@ class LogValue:
     def _sign(self) -> int:
         """Exact sign of the represented real number.
 
-        The float sum s of the k terms c_p * log p with |float(c_p)| >=
+        The keys need not be prime: nothing below uses more than that
+        each key is an integer > 1.  The float sum s of the k terms c_p * log p with |float(c_p)| >=
         2^-1000 decides when |s| exceeds max(_SIGN_MARGIN, (k + 4) * 2^-52)
         * A + T, A the sum of their absolute values and T the sum of
         2^-999 * log p over the other terms, which bounds those: no such

@@ -138,9 +138,12 @@ def is_sign_canonical(coords: Sequence[RationalLike], q: Sequence[int]) -> bool:
     return True
 
 
-def sign_canonical_tuples(q: Sequence[int], bound: int) -> Iterator[tuple[int, ...]]:
+def sign_canonical_blocks(
+    q: Sequence[int], bound: int
+) -> Iterator[tuple[Sequence[int], ...]]:
     """The int tuples with |x_i| <= bound that pass ``is_sign_canonical``
-    at weights q, in lexicographic order, built without the others.
+    at weights q, as blocks of per-coordinate value lists whose products,
+    in order, enumerate them lexicographically, built without the others.
 
     While no odd-weight coordinate is nonzero, the next odd-weight one
     takes 0 or 1..bound, never a negative value; after the first
@@ -153,15 +156,21 @@ def sign_canonical_tuples(q: Sequence[int], bound: int) -> Iterator[tuple[int, .
         # the odd-weight entries of prefix are all 0: the sign is undecided
         fixed = [(c,) for c in prefix]
         if i > last_odd:
-            yield itertools.product(*fixed, *[full] * (n - i))
+            yield (*fixed, *[full] * (n - i))
         elif q[i] % 2:
             yield from blocks(prefix + (0,), i + 1)
-            yield itertools.product(*fixed, range(1, bound + 1), *[full] * (n - i - 1))
+            yield (*fixed, range(1, bound + 1), *[full] * (n - i - 1))
         else:
             for v in full:
                 yield from blocks(prefix + (v,), i + 1)
 
-    return itertools.chain.from_iterable(blocks((), 0))
+    return blocks((), 0)
+
+
+def sign_canonical_tuples(q: Sequence[int], bound: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of ``sign_canonical_blocks``, in lexicographic order."""
+    blocks = sign_canonical_blocks(q, bound)
+    return itertools.chain.from_iterable(itertools.starmap(itertools.product, blocks))
 
 
 def sign_canon(x: WPoint) -> WPoint:

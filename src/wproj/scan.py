@@ -13,6 +13,12 @@ explicit codimension override).  Rows are deterministic: fixed
 enumeration order, no timestamps or randomness in the serialized
 output.
 
+Both the scan and the audit enumerate their tuples with weighted GCD 1
+by one gcd-prefix walk (``primitive_tuples``).  A prime p divides
+wgcd(x) exactly when p^(q_i) divides every nonzero x_i, so a gcd of
+per-value tables, carried down the coordinates, clears whole subtrees
+at once, and only the tuples it cannot clear pay a ``wgcd`` call.
+
 The domain is cut into slices (``parts``), one per value of its first
 coordinate that varies.  With W workers, slice i is scanned by process
 i mod W: this one and W - 1 forked children, each of which enumerates,
@@ -33,12 +39,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .arith import s_part
+from .arith import _TRIAL_LIMIT, log_sum_sign, s_part
 from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, _wgcd_value, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
-from .points import WPoint, format_point, sign_canon, sign_canonical_tuples
+from .points import WPoint, format_point, sign_canon, sign_canonical_blocks
 from .singular import is_singular
 from .weights import Weights
 
@@ -113,14 +119,6 @@ class ScanConfig:
         return 1.0 / (self.weights.qprod * (self.r - 1 + float(self.delta)))
 
     @cached_property
-    def exact_exponents(self) -> tuple[int, tuple[int, ...], int]:
-        """(D, (D*epsilon/q_i)_i, D/(q*(r-1+delta))): rhs^D in integer powers."""
-        coord = [self.epsilon / q for q in self.weights.q]
-        s_exp = 1 / (self.weights.qprod * (self.r - 1 + self.delta))
-        D = math.lcm(s_exp.denominator, *(e.denominator for e in coord))
-        return D, tuple(int(e * D) for e in coord), int(s_exp * D)
-
-    @cached_property
     def coordinate_values(self) -> tuple[Sequence[int], ...]:
         """The values each coordinate takes over the domain, in order."""
         domain = self.domain
@@ -141,9 +139,34 @@ class ScanConfig:
             for values, q in zip(self.coordinate_values, self.weights.q)
         )
 
+    @cached_property
+    def coordinate_radicals(self) -> tuple[dict[int, int], ...]:
+        """Per coordinate i, v -> r_i(v) (see ``primitive_tuples``) for
+        each value v the domain gives it, computed once per value."""
+        return tuple(
+            {v: _radical(v, q) for v in values}
+            for values, q in zip(self.coordinate_values, self.weights.q)
+        )
+
 
 def _coordinate_term(v: int, q: int, s_primes: frozenset[int]) -> tuple[float, int]:
     return math.log(abs(v)) / q, s_part(v, s_primes)
+
+
+def _radical(v: int, q: int) -> int:
+    """r_q(v), the product of the primes p with p^q | v, below
+    _TRIAL_LIMIT, where factoring |v| takes trial division by at most 85
+    numbers; |v| at 0, at q = 1 (it has the primes of r_1(v)) and from
+    _TRIAL_LIMIT up.  There |v| is a multiple of r_q(v), which ``wgcd``
+    corrects at the leaves of ``primitive_tuples``: a table entry never
+    costs a rho split, nor trial division up to 2^16 (milliseconds at
+    |v| near 2^32, where the tuples' weighted GCDs cost microseconds)."""
+    v = abs(v)
+    if q == 1 or not 0 < v < _TRIAL_LIMIT:
+        return v
+    from .arith import factorize  # looked up per call: a tracer may rebind it
+
+    return math.prod(p for p, e in factorize(v).factors if e >= q)
 
 
 @dataclass(frozen=True)
@@ -202,14 +225,53 @@ def parts(config: ScanConfig) -> list[Part]:
     return [(*values[:i], (v,), *values[i + 1:]) for v in values[i]]
 
 
+def primitive_tuples(
+    lists: Sequence[Sequence[int]], radicals: Sequence[dict[int, int]], w: Weights
+) -> Iterator[tuple[int, ...]]:
+    """The tuples of ``itertools.product(*lists)`` that are not all zero
+    and have weighted GCD 1, in the same lexicographic order.
+
+    ``radicals[i][v]`` is r_i(v): 0 at v = 0, and otherwise a positive
+    multiple of the product of the primes p with p^(q_i) | v.  A prime p
+    divides wgcd(x) exactly when p^(q_i) | x_i for every nonzero x_i, so
+    then p divides g = gcd_i r_i(x_i) (gcd(0, r) = r: a zero coordinate
+    imposes nothing), and g = 1 proves wgcd(x) = 1.  The walk carries g
+    down the coordinates: once it is 1 the whole subtree is yielded as a
+    product with no check; at a leaf g = 0 is the all-zero tuple, and a
+    leaf with g > 1 is decided by ``wgcd``, so the answer stays exact for
+    any table that is a multiple of the exact one."""
+    last = len(lists) - 1
+
+    def blocks(prefix: tuple[int, ...], g: int, i: int):
+        values, radical = lists[i], radicals[i]
+        if i == last:
+            leaves = []
+            for v in values:
+                h = math.gcd(g, radical[v])
+                if h == 1 or h and wgcd(prefix + (v,), w) == 1:
+                    leaves.append(prefix + (v,))
+            yield leaves
+            return
+        fixed = [(c,) for c in prefix]
+        rest = lists[i + 1:]
+        for v in values:
+            h = math.gcd(g, radical[v])
+            if h == 1:
+                yield itertools.product(*fixed, (v,), *rest)
+            else:
+                yield from blocks(prefix + (v,), h, i + 1)
+
+    return itertools.chain.from_iterable(blocks((), 0, 0))
+
+
 def candidate_points(config: ScanConfig, part: Part) -> Iterator[tuple[int, ...]]:
-    """The slice's candidates in lexicographic order.  A box drops the
-    tuples with a zero coordinate (the prime-to-S part of 0 is
-    undefined) or a weighted GCD above 1; an S-unit tuple has neither."""
-    points = itertools.product(*part)
+    """The slice's candidates in lexicographic order: its tuples with
+    weighted GCD 1 and, in a box, no zero coordinate (the prime-to-S
+    part of 0 is undefined).  Every S-unit tuple qualifies: x_0 = 1."""
     if isinstance(config.domain, SUnitGrid):
-        return points
-    return (p for p in points if 0 not in p and wgcd(p, config.weights) == 1)
+        return itertools.product(*part)
+    lists = [[v for v in values if v] for values in part]
+    return primitive_tuples(lists, config.coordinate_radicals, config.weights)
 
 
 def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None:
@@ -220,7 +282,9 @@ def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None
     computed here for a point outside the domain.  The prime-to-S part
     is multiplicative, so their product is s_part(x_0 ... x_n, S).
     The floats decide lhs > rhs unless lhs / rhs is within 1e-9 of 1,
-    far above their rounding error; there lhs^D > rhs^D decides."""
+    far above their rounding error.  There the sign of log lhs - rhs's
+    log, a sum of three logs of ints, is decided exactly by
+    ``log_sum_sign``, with the max over the coordinates picked on ints."""
     values = config.subscheme.values_at(point)
     if not any(values):
         return None
@@ -245,9 +309,14 @@ def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None
     if abs(ratio - 1.0) > 1e-9:
         exceptional = lhs > rhs
     else:
-        D, coord_exps, s_exp = config.exact_exponents
-        rhs_pow = max(abs(v) ** e for v, e in zip(point, coord_exps)) * stripped ** s_exp
-        exceptional = lhs ** D > rhs_pow
+        q = config.weights.q
+        k = 0  # |x_k|^(1/q_k) is the max: compare |x_i|^(q_k) with |x_k|^(q_i)
+        for i in range(1, len(point)):
+            if abs(point[i]) ** q[k] > abs(point[k]) ** q[i]:
+                k = i
+        s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
+        log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
+        exceptional = log_sum_sign(log_terms) > 0
     return ScanRow(point, lhs, rhs, ratio, exceptional)
 
 
@@ -421,12 +490,20 @@ class AuditReport:
     counterexamples: list[AuditRow]
 
 
-def _canonical_points(w: Weights, bound: int) -> Iterator[tuple[int, ...]]:
+def _canonical_points(
+    w: Weights, bound: int, floors: tuple[dict, ...]
+) -> Iterator[tuple[int, ...]]:
     """Normalized integral representatives with |x_i| <= bound, in
-    lexicographic order: the sign-canonical tuples with weighted GCD 1."""
-    for point in sign_canonical_tuples(w.q, bound):
-        if any(point) and wgcd(point, w) == 1:
-            yield point
+    lexicographic order: the sign-canonical tuples with weighted GCD 1,
+    walked block by block with r_i(v) read from the ``_valuation_floors``
+    of that bound (the primes whose floor is positive)."""
+    radicals = tuple(
+        {v: 0 if e is None else math.prod(p for p, f in e.items() if f)
+         for v, e in column.items()}
+        for column in floors
+    )
+    blocks = sign_canonical_blocks(w.q, bound)
+    return itertools.chain.from_iterable(primitive_tuples(b, radicals, w) for b in blocks)
 
 
 def _valuation_floors(w: Weights, bound: int) -> tuple[dict, ...]:
@@ -476,7 +553,7 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
     counterexamples: list[AuditRow] = []
     by_support: dict[tuple[bool, ...], bool] = {}
     floors = _valuation_floors(w, bound)
-    for point in _canonical_points(w, bound):
+    for point in _canonical_points(w, bound, floors):
         total += 1
         support = tuple(map(bool, point))
         singular = by_support.get(support)

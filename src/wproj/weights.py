@@ -74,14 +74,6 @@ class Weights:
             for i in range(len(self.q))
         )
 
-    def sorted_canonical(self) -> "Weights":
-        """Weight permutation-equivalence representative (ascending).
-
-        Not applied automatically anywhere: coordinate order carries
-        meaning for callers.
-        """
-        return Weights(tuple(sorted(self.q)))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.q) + ")"
 

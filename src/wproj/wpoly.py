@@ -87,14 +87,6 @@ class WPolynomial:
     ) -> "WPolynomial":
         return cls(tuple((as_fraction(c), tuple(e)) for c, e in terms), weights)
 
-    @classmethod
-    def monomial(
-        cls, weights: Weights, index: int, power: int = 1, coeff: RationalLike = 1
-    ) -> "WPolynomial":
-        exps = [0] * len(weights)
-        exps[index] = power
-        return cls.from_terms([(coeff, exps)], weights)
-
     @cached_property
     def integer_form(self) -> tuple[int, tuple[IntegerTerm, ...]]:
         """(D, terms) with D * f = sum_k a_k * prod_i x_i^e_i, integral.

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -16,9 +17,11 @@ from wproj.arith import (
     LogValue,
     Place,
     _strong_lucas,
+    coprime_base,
     factorize,
     integer_nthroot,
     is_prime,
+    log_sum_sign,
     ord_int,
     relevant_places,
     s_part,
@@ -361,3 +364,53 @@ def test_logvalue_sign_past_the_budget_raises_a_typed_error():
     # a huge coefficient beyond the float range is not decided by floats either
     with pytest.raises(ComparisonBudgetExceeded):
         LogValue({2: 10 ** 400, 3: -(10 ** 400)}) < LogValue.zero()
+
+
+# integers sharing many factors in many ways, and some that share none
+smooth_or_not = st.one_of(
+    st.lists(st.sampled_from([2, 3, 4, 6, 9, 10, 12, 15, 18, 35]), max_size=6).map(math.prod),
+    st.integers(1, 10 ** 12),
+)
+
+
+@given(st.lists(smooth_or_not, max_size=6))
+def test_coprime_base_generates_every_input(numbers):
+    base = coprime_base(numbers)
+    assert all(b > 1 for b in base)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+    for n in numbers:
+        for b in base:
+            while n % b == 0:
+                n //= b
+        assert n == 1
+
+
+@given(st.lists(
+    st.tuples(smooth_or_not.filter(lambda n: n < 10 ** 4),
+              st.fractions(-6, 6, max_denominator=6)),
+    max_size=5,
+))
+def test_log_sum_sign_matches_the_integer_comparison(terms):
+    denom_lcm = math.lcm(*(c.denominator for _, c in terms))
+    num = den = 1
+    for n, c in terms:
+        e = int(c * denom_lcm)
+        if e > 0:
+            num *= n ** e
+        else:
+            den *= n ** (-e)
+    assert log_sum_sign(terms) == (num > den) - (num < den)
+
+
+def test_log_sum_sign_of_an_exact_tie_is_zero_without_powering():
+    N = 10 ** 7
+    start = time.perf_counter()
+    assert log_sum_sign([(3, 1), (3, Fraction(-1, N + 1)), (3, Fraction(-N, N + 1))]) == 0
+    assert time.perf_counter() - start < 0.1
+    assert log_sum_sign([(12, 2), (6, -1), (24, -1)]) == 0  # 144 = 6 * 24
+    assert log_sum_sign([(18, 1), (12, Fraction(-1, 2)), (27, Fraction(-1, 2))]) == 0
+    assert log_sum_sign([(1, 5)]) == log_sum_sign([]) == 0
+    with pytest.raises(ValueError):
+        log_sum_sign([(0, 1), (2, 1)])  # log 0 has no coefficient over any base
+    with pytest.raises(ComparisonBudgetExceeded):
+        log_sum_sign([(3, 1), (2, Fraction(-16785921, 10590737))])

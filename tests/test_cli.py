@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -333,6 +334,58 @@ def test_float_overflow_is_an_error_record_for_any_worker_count(
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "float-overflow", "message": message}
     assert run_cli(capsys, "vojta-scan", *argv, "--workers", "2") == (code, out, err)
+
+
+def _timed_scan(capsys, *argv):
+    start = time.perf_counter()
+    result = run_cli(capsys, "vojta-scan", *argv, "--format", "csv")
+    return result, time.perf_counter() - start
+
+
+def test_exact_tie_is_decided_without_powering(capsys):
+    # lhs = rhs = 3 with epsilon = 1/(N+1) and delta = 1/N: raising both
+    # sides to the power D = N + 1 took 9.9 s at N = 10^7
+    N = 10 ** 7
+    (code, out, err), elapsed = _timed_scan(
+        capsys, "--weights", "(1,1,1)", "--generators", "x2;3*x0",
+        "--domain", "box:1..1,1..1,3..3", "--delta", f"1/{N}", "--epsilon", f"1/{N + 1}",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "[1:1:3],3,3,1,false"
+    assert elapsed < 0.5
+
+
+def test_near_tie_past_the_comparison_budget_exits_3(capsys):
+    # 2^epsilon against lhs = 3 at [1:1:2] (S = {2} strips x2), with
+    # epsilon = 16785921/10590737, a convergent of log_2 3: no tie, and
+    # deciding it on integers takes 3^10590737 against 2^16785921
+    (code, out, err), elapsed = _timed_scan(
+        capsys, "--weights", "(1,1,1)", "--generators", "3*x0;3*x1", "--s-primes", "2",
+        "--epsilon", "16785921/10590737", "--domain", "box:1..1,1..1,2..2",
+    )
+    assert (code, out) == (3, "")
+    record = json.loads(err)
+    assert record["error"] == "comparison-budget"
+    assert "above the budget of 1048576 bits" in record["message"]
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("x01, ratio", [
+    # x_0 = 1 makes the tuple primitive before the walk reaches N
+    (1, "1.42724769271e+45,7.00649232162e-46"),
+    # gcd(2, 2) = 2 makes the walk read N's table entry, which holds N
+    (2, "2.85449538541e+45,3.50324616081e-46"),
+])
+def test_huge_coordinate_is_not_factored_for_the_walk(capsys, x01, ratio):
+    # N has two prime factors above 2^60, past the rho budget
+    N = (2 ** 61 - 1) * (2 ** 89 - 1)
+    (code, out, err), elapsed = _timed_scan(
+        capsys, "--weights", "(1,1,2)", "--generators", "x2;3*x0",
+        "--domain", f"box:{x01}..{x01},{x01}..{x01},{N}..{N}",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"[{x01}:{x01}:{N}],1,{ratio},false"
+    assert elapsed < 0.5
 
 
 def test_parse_error_exit_code(capsys):

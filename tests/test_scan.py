@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -6,9 +7,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wproj.arith
 import wproj.gcdops
+import wproj.points
 import wproj.scan
 from wproj.arith import s_part
 from wproj.cli import main
@@ -25,6 +29,7 @@ from wproj.scan import (
     ScanConfig,
     SUnitGrid,
     evaluate_point,
+    primitive_tuples,
     s_units,
     sing1_audit,
     vojta_scan,
@@ -394,6 +399,32 @@ def test_box_scan_verdicts_are_exact():
     assert set(TIE_POINTS) <= {row.point for row in report.rows}
 
 
+def near_tie_config(epsilon):
+    # lhs = 3 at [1:1:2], and S = {2} leaves rhs = 2^epsilon
+    return ScanConfig(
+        weights=W111,
+        subscheme=Subscheme(
+            (parse_polynomial("3*x0", W111), parse_polynomial("3*x1", W111))
+        ),
+        epsilon=epsilon,
+        delta=Fraction(0),
+        s_primes=frozenset({2}),
+        domain=BoxDomain(((1, 1), (1, 1), (2, 2))),
+    )
+
+
+# convergents b/a of log_2 3 within 1e-9 of it, from both sides, whose
+# integer comparison stays within the comparison budget
+@pytest.mark.parametrize("b, a", [
+    (50508, 31867), (125743, 79335), (176251, 111202), (301994, 190537),
+])
+def test_near_tie_verdict_matches_the_integers(b, a):
+    row = evaluate_point(near_tie_config(Fraction(b, a)), (1, 1, 2))
+    assert row.lhs == 3
+    assert abs(row.ratio - 1.0) <= 1e-9  # the floats leave it to exact work
+    assert row.exceptional == (3 ** a > 2 ** b)
+
+
 def test_sunit_scan_with_denominator_matches_fraction_reference():
     # x1*(x1+x0)/2 is integral wherever x0 = 1, so the scan must accept it
     config = make_config(
@@ -504,9 +535,70 @@ def test_codim_override_changes_rhs():
     assert r1.rhs > r2.rhs  # larger r shrinks the S-part exponent
 
 
+# at or above _TRIAL_LIMIT = 2^16, where the walk's tables hold |v|, some
+# at or above (_TRIAL_LIMIT + 1)^2, where factorize would try rho; 65537
+# and 4294967311 are prime
+BIG_VALUES = [2 ** 16, 3 * 2 ** 16, 65537, 5 ** 7, 2 ** 32, 3 * 2 ** 32, 3 ** 21, 6 ** 13,
+              4294967311, 4294967311 ** 2]
+
+
+@st.composite
+def walk_inputs(draw):
+    q = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    lists = []
+    for _ in q:
+        lo = draw(st.integers(-9, 9))
+        box = range(lo, lo + draw(st.integers(0, 6)))  # asymmetric, with 0 or not
+        big = draw(st.lists(st.sampled_from(BIG_VALUES), max_size=2, unique=True))
+        lists.append([*box, *big, *(-v for v in big[:1])])
+    return Weights(tuple(q)), lists
+
+
+@given(walk_inputs())
+def test_walk_is_the_wgcd_filter(inputs):
+    w, lists = inputs
+    radicals = [{v: wproj.scan._radical(v, q) for v in values} for values, q in zip(lists, w.q)]
+    expected = [p for p in itertools.product(*lists) if any(p) and wgcd(p, w) == 1]
+    assert list(primitive_tuples(lists, radicals, w)) == expected
+
+
+def test_walk_tables_factor_no_large_value(monkeypatch):
+    # trial division of each |v| near 2^32 took milliseconds, where the
+    # weighted GCDs of its tuples take microseconds
+    calls = _counting(monkeypatch, wproj.arith, "factorize")
+    lo = 4 * 10 ** 9
+    config = dataclasses.replace(tie_config(14), domain=BoxDomain(((2, 2), (2, 2), (lo, lo + 400))))
+    radicals = config.coordinate_radicals
+    assert calls == [] and radicals[2][lo + 7] == lo + 7
+    points = [p for part in wproj.scan.parts(config)
+              for p in wproj.scan.candidate_points(config, part)]
+    assert points == [(2, 2, v) for v in range(lo, lo + 401) if wgcd((2, 2, v), W112) == 1]
+
+
+def test_walk_calls_wgcd_only_to_reject(monkeypatch):
+    # the benchmark's seed-0 box-scan and audit: exact tables, so every
+    # leaf left to wgcd has a weighted GCD above 1
+    calls = _counting(monkeypatch, wproj.scan, "wgcd")
+    config = tie_config(14)
+    points = [p for part in wproj.scan.parts(config)
+              for p in wproj.scan.candidate_points(config, part)]
+    box = itertools.product(*[[v for v in range(-14, 15) if v]] * 3)
+    assert len(calls) == sum(wgcd(p, W112) > 1 for p in box) == 28 ** 3 - len(points)
+    calls.clear()
+    w, bound = Weights.of(2, 3, 5), 11
+    points = _canonical_points(w, bound)
+    rejected = sum(1 for p in wproj.points.sign_canonical_tuples(w.q, bound) if any(p)) - len(points)
+    assert len(calls) == rejected == 11
+
+
+def _canonical_points(w, bound):
+    floors = wproj.scan._valuation_floors(w, bound)
+    return list(wproj.scan._canonical_points(w, bound, floors))
+
+
 def _assert_log_hwgcd_vanishes(w, bound):
     # the lemma that lets sing1_audit skip computing log hwgcd
-    points = list(wproj.scan._canonical_points(w, bound))
+    points = _canonical_points(w, bound)
     assert points
     for point in points:
         assert log_hwgcd(point, w, include_archimedean=True).is_zero(), point
@@ -568,7 +660,7 @@ def test_canonical_points_match_normalize(q):
     for bound in range(7):
         # the box of radius bound keeps the lexicographic order of the larger box
         in_box = [p for p in expected if max(map(abs, p)) <= bound]
-        assert list(wproj.scan._canonical_points(w, bound)) == in_box, bound
+        assert _canonical_points(w, bound) == in_box, bound
 
 
 @pytest.mark.parametrize("q", AUDIT_WEIGHTS)
@@ -576,7 +668,7 @@ def test_sing1_audit_singularity_per_point(q):
     # the audit tests singularity once per support; test it at every point
     w = Weights.of(*q)
     report = sing1_audit(w, 4)
-    points = list(wproj.scan._canonical_points(w, 4))
+    points = _canonical_points(w, 4)
     nonsingular = [p for p in points if not is_singular(WPoint.of(p, w))]
     assert report.total_points == len(points)
     assert report.singular_points == len(points) - len(nonsingular)

@@ -106,10 +106,6 @@ def test_weight_map_composition():
     assert composite.map_coords((2, 3, 4, 5)) == (4, 9, 16, 25)
 
 
-def test_sorted_canonical():
-    assert Weights.of(3, 1, 2).sorted_canonical() == Weights.of(1, 2, 3)
-
-
 def test_parse_weights():
     assert parse_weights("w=(2,3)") == Weights.of(2, 3)
     assert parse_weights("(1, 2, 3, 5)") == Weights.of(1, 2, 3, 5)

@@ -203,8 +203,3 @@ def test_polynomial_algebra():
     zero = x0 - x0
     assert zero.is_zero()
     assert to_string(zero) == "0"
-
-
-def test_monomial_constructor():
-    w = Weights.of(2, 3)
-    assert WPolynomial.monomial(w, 1, 2, coeff=5) == parse_polynomial("5*x1^2", w)
