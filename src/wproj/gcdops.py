@@ -37,7 +37,7 @@ from .errors import (
 )
 from .weights import Weights
 # evaluate is unused here; perfbench/tracing.py rebinds this name
-from .wpoly import MIXED, WPolynomial, evaluate, scaled_value, weighted_degree
+from .wpoly import MIXED, IntegerForm, WPolynomial, evaluate, scaled_value, weighted_degree
 
 if TYPE_CHECKING:  # only for annotations; points imports this module
     from .points import WPoint
@@ -97,13 +97,22 @@ class Subscheme:
         NonIntegralValue at the first coordinate or value that is not an
         integer."""
         coords = _integer_tuple(coords, self.ambient_weights)
-        values = []
-        for g in self.generators:
-            d, v = g.integer_form[0], scaled_value(g, coords)
-            if v % d:
-                raise NonIntegralValue(f"{Fraction(v, d)} is not an integer")
-            values.append(v // d)
-        return tuple(values)
+        return tuple(_int_values([g.integer_form for g in self.generators], coords))
+
+
+def _int_values(forms: Sequence[IntegerForm], x: Sequence[int]) -> list[int]:
+    """The values at x of the polynomials with these integer forms, as
+    ints; raises NonIntegralValue at the first that is not an integer.
+    x is a tuple of ints of their arity and is not checked here:
+    ``values_at`` checks a point from outside, and the scan's
+    enumeration yields such tuples by construction."""
+    values = []
+    for d, terms in forms:
+        v = scaled_value(terms, x)
+        if v % d:
+            raise NonIntegralValue(f"{Fraction(v, d)} is not an integer")
+        values.append(v // d)
+    return values
 
 
 def _normalize_tuple(xs: Sequence[RationalLike], w: Weights) -> list[Fraction]:
@@ -143,8 +152,9 @@ def _wgcd_exponents(ints: Sequence[int], w: Weights, primes=None) -> dict[int, i
 
 
 def _wgcd_value(ints: Sequence[int], w: Weights) -> int:
-    if w.m == 1:
-        return math.gcd(*ints)  # every weight is 1: the plain gcd, nothing to factor
+    g = math.gcd(*ints)
+    if g == 1 or w.m == 1:
+        return g  # 1, or every weight is 1: the plain gcd, nothing to factor
     return math.prod(p ** e for p, e in _wgcd_exponents(ints, w).items())
 
 

@@ -11,7 +11,6 @@ fixed: the first nonzero coordinate of odd weight is made positive
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -165,12 +164,6 @@ def sign_canonical_blocks(
                 yield from blocks(prefix + (v,), i + 1)
 
     return blocks((), 0)
-
-
-def sign_canonical_tuples(q: Sequence[int], bound: int) -> Iterator[tuple[int, ...]]:
-    """The tuples of ``sign_canonical_blocks``, in lexicographic order."""
-    blocks = sign_canonical_blocks(q, bound)
-    return itertools.chain.from_iterable(itertools.starmap(itertools.product, blocks))
 
 
 def sign_canon(x: WPoint) -> WPoint:

@@ -27,6 +27,13 @@ enumeration order, so the rows are the same for any worker count.  A
 failing slice ends its process's share, and the merge raises the
 error of the earliest failing slice in enumeration order: the error
 that one worker would have raised first.
+
+Each slice's tuples are evaluated by one row loop (``_rows``) with the
+config's constants bound once.  The enumeration yields tuples of ints
+of the right length, not all zero, so the loop checks only that each
+generator value is an integer; a point from outside enters through
+``evaluate_point``, which makes the arity, all-zero and integrality
+checks and then runs the same loop on it.
 """
 
 from __future__ import annotations
@@ -37,12 +44,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .arith import _TRIAL_LIMIT, log_sum_sign, s_part
+from .arith import _TRIAL_LIMIT, RationalLike, log_sum_sign, s_part
 from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
-from .gcdops import Subscheme, _wgcd_value, log_hwgcd, wgcd
+from .gcdops import Subscheme, _int_values, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
 from .points import WPoint, format_point, sign_canon, sign_canonical_blocks
 from .singular import is_singular
@@ -169,8 +176,7 @@ def _radical(v: int, q: int) -> int:
     return math.prod(p for p, e in factorize(v).factors if e >= q)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     point: tuple[int, ...]
     lhs: int
     rhs: float
@@ -274,50 +280,68 @@ def candidate_points(config: ScanConfig, part: Part) -> Iterator[tuple[int, ...]
     return primitive_tuples(lists, config.coordinate_radicals, config.weights)
 
 
-def evaluate_point(config: ScanConfig, point: tuple[int, ...]) -> ScanRow | None:
+def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow | None:
     """One scan row, or None when every generator vanishes there.
 
-    ``point`` is a tuple of ints; every value stays an int up to lhs.
-    The coordinates' terms come from ``config.coordinate_terms``, or are
+    The point comes from outside the scan, so this is where it is
+    checked: ``gcdops._integer_tuple`` raises ArityMismatch, AllZero or
+    NonIntegralValue, and an integral point of Fractions becomes its
+    tuple of ints.  The row is then that of ``_rows``, the scan's loop."""
+    return next(_rows(config, (tuple(_integer_tuple(point, config.weights)),)))
+
+
+def _rows(config: ScanConfig, points: Iterable[tuple[int, ...]]) -> Iterator[ScanRow | None]:
+    """The row at each point, or None when every generator vanishes there.
+
+    Each point is a tuple of ints of the right length, not all zero, as
+    ``candidate_points`` yields them; only the generator values are
+    checked (NonIntegralValue), and they stay ints up to lhs.  The
+    coordinates' terms come from ``config.coordinate_terms``, or are
     computed here for a point outside the domain.  The prime-to-S part
     is multiplicative, so their product is s_part(x_0 ... x_n, S).
     The floats decide lhs > rhs unless lhs / rhs is within 1e-9 of 1,
     far above their rounding error.  There the sign of log lhs - rhs's
     log, a sum of three logs of ints, is decided exactly by
     ``log_sum_sign``, with the max over the coordinates picked on ints."""
-    values = config.subscheme.values_at(point)
-    if not any(values):
-        return None
-    lhs = _wgcd_value(values, config.subscheme.gcd_weights)  # ints, not all 0
-    try:
-        terms = [table[v] for table, v in zip(config.coordinate_terms, point)]
-    except KeyError:  # a point outside the domain
-        pairs = zip(point, config.weights.q)
-        terms = [_coordinate_term(v, q, config.s_primes) for v, q in pairs]
-    logs, coord_parts = zip(*terms)
-    log_max = max(logs)
-    stripped = math.prod(coord_parts)
-    log_rhs = config.float_epsilon * log_max + math.log(stripped) * config.rhs_exponent
-    try:
-        rhs = math.exp(log_rhs)
-        ratio = lhs / rhs
-    except OverflowError:
-        raise FloatOverflow(
-            f"the row at {format_point(point)} leaves the float range "
-            f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
-        ) from None
-    if abs(ratio - 1.0) > 1e-9:
-        exceptional = lhs > rhs
-    else:
-        q = config.weights.q
-        k = 0  # |x_k|^(1/q_k) is the max: compare |x_i|^(q_k) with |x_k|^(q_i)
-        for i in range(1, len(point)):
-            if abs(point[i]) ** q[k] > abs(point[k]) ** q[i]:
-                k = i
-        s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
-        log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
-        exceptional = log_sum_sign(log_terms) > 0
-    return ScanRow(point, lhs, rhs, ratio, exceptional)
+    forms = [g.integer_form for g in config.subscheme.generators]
+    gcd_weights = config.subscheme.gcd_weights
+    tables = config.coordinate_terms
+    epsilon, s_exponent = config.float_epsilon, config.rhs_exponent
+    log, exp, prod = math.log, math.exp, math.prod
+    for point in points:
+        values = _int_values(forms, point)
+        if not any(values):
+            yield None
+            continue
+        lhs = _wgcd_value(values, gcd_weights)  # ints, not all 0
+        try:
+            terms = [table[v] for table, v in zip(tables, point)]
+        except KeyError:  # a point outside the domain
+            pairs = zip(point, config.weights.q)
+            terms = [_coordinate_term(v, q, config.s_primes) for v, q in pairs]
+        logs, coord_parts = zip(*terms)
+        stripped = prod(coord_parts)
+        log_rhs = epsilon * max(logs) + log(stripped) * s_exponent
+        try:
+            rhs = exp(log_rhs)
+            ratio = lhs / rhs
+        except OverflowError:
+            raise FloatOverflow(
+                f"the row at {format_point(point)} leaves the float range "
+                f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
+            ) from None
+        if abs(ratio - 1.0) > 1e-9:
+            exceptional = lhs > rhs
+        else:
+            q = config.weights.q
+            k = 0  # |x_k|^(1/q_k) is the max: compare |x_i|^(q_k) with |x_k|^(q_i)
+            for i in range(1, len(point)):
+                if abs(point[i]) ** q[k] > abs(point[k]) ** q[i]:
+                    k = i
+            s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
+            log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
+            exceptional = log_sum_sign(log_terms) > 0
+        yield ScanRow(point, lhs, rhs, ratio, exceptional)
 
 
 def _scan_part(config: ScanConfig, render: Renderer, part: Part):
@@ -325,9 +349,8 @@ def _scan_part(config: ScanConfig, render: Renderer, part: Part):
     total = skipped = exceptional = 0
     max_ratio = -math.inf
     rows = []
-    for point in candidate_points(config, part):
+    for row in _rows(config, candidate_points(config, part)):
         total += 1
-        row = evaluate_point(config, point)
         if row is None:
             skipped += 1
             continue

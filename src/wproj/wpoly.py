@@ -48,6 +48,7 @@ MIXED = _MixedMarker()
 
 Term = tuple[Fraction, tuple[int, ...]]
 IntegerTerm = tuple[int, tuple[tuple[int, int], ...]]  # (a, ((i, e_i), ...))
+IntegerForm = tuple[int, tuple[IntegerTerm, ...]]  # (D, terms)
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class WPolynomial:
         return cls(tuple((as_fraction(c), tuple(e)) for c, e in terms), weights)
 
     @cached_property
-    def integer_form(self) -> tuple[int, tuple[IntegerTerm, ...]]:
+    def integer_form(self) -> IntegerForm:
         """(D, terms) with D * f = sum_k a_k * prod_i x_i^e_i, integral.
 
         D is the lcm of the coefficient denominators; each term holds its
@@ -133,11 +134,11 @@ def weighted_degree(f: WPolynomial):
     return MIXED
 
 
-def scaled_value(f: WPolynomial, xs: Sequence[RationalLike]) -> RationalLike:
-    """D * f(xs), D = f.integer_form[0], from the integer form: an int at
+def scaled_value(terms: tuple[IntegerTerm, ...], xs: Sequence[RationalLike]) -> RationalLike:
+    """D * f(xs) from the terms of f's integer form (D, terms): an int at
     an int tuple, a Fraction at a Fraction tuple."""
     total = 0
-    for a, powers in f.integer_form[1]:
+    for a, powers in terms:
         for i, e in powers:
             a *= xs[i] ** e
         total += a
@@ -148,7 +149,8 @@ def evaluate(f: WPolynomial, xs: Sequence[RationalLike]) -> Fraction:
     """Exact value of f at a rational tuple."""
     if len(xs) != len(f.weights):
         raise ArityMismatch(f"expected {len(f.weights)} values, got {len(xs)}")
-    return Fraction(scaled_value(f, [as_fraction(x) for x in xs]), f.integer_form[0])
+    d, terms = f.integer_form
+    return Fraction(scaled_value(terms, [as_fraction(x) for x in xs]), d)
 
 
 def dehomogenize_binary(f: WPolynomial) -> tuple[Fraction, ...]:

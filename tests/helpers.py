@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from wproj.points import WPoint
+from wproj.points import WPoint, sign_canonical_blocks
 from wproj.weights import Weights
 from wproj.wpoly import WPolynomial
 
@@ -67,3 +68,9 @@ def product(f: WPolynomial, g: WPolynomial) -> WPolynomial:
         for c2, e2 in g.terms
     ]
     return WPolynomial(tuple(terms), f.weights)
+
+
+def sign_canonical_tuples(q, bound):
+    """The tuples of ``sign_canonical_blocks``, in lexicographic order."""
+    blocks = sign_canonical_blocks(q, bound)
+    return itertools.chain.from_iterable(itertools.starmap(itertools.product, blocks))

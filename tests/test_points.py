@@ -24,10 +24,11 @@ from wproj.points import (
     reduce_projective,
     scale,
     sign_canon,
-    sign_canonical_tuples,
     veronese,
 )
 from wproj.weights import Weights, reduce, veronese_data, well_formed_model
+
+from helpers import sign_canonical_tuples
 
 W23 = Weights.of(2, 3)
 

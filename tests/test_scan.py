@@ -17,6 +17,8 @@ import wproj.scan
 from wproj.arith import s_part
 from wproj.cli import main
 from wproj.errors import (
+    AllZero,
+    ArityMismatch,
     DegenerateGenerators,
     EmptyDomain,
     FloatOverflow,
@@ -38,6 +40,8 @@ from wproj.points import WPoint, normalize, sign_canon
 from wproj.singular import is_singular
 from wproj.weights import Weights
 from wproj.wpoly import evaluate, parse_polynomial
+
+from helpers import sign_canonical_tuples
 
 W111 = Weights.of(1, 1, 1)
 
@@ -587,7 +591,7 @@ def test_walk_calls_wgcd_only_to_reject(monkeypatch):
     calls.clear()
     w, bound = Weights.of(2, 3, 5), 11
     points = _canonical_points(w, bound)
-    rejected = sum(1 for p in wproj.points.sign_canonical_tuples(w.q, bound) if any(p)) - len(points)
+    rejected = sum(1 for p in sign_canonical_tuples(w.q, bound) if any(p)) - len(points)
     assert len(calls) == rejected == 11
 
 
@@ -844,7 +848,18 @@ def test_audit_factors_per_value_not_per_point(monkeypatch):
 def test_scan_strips_per_value_not_per_tuple(monkeypatch):
     # the benchmark's seed-0 sunit-preset and box-scan configurations
     calls = _counting(monkeypatch, wproj.scan, "s_part")
-    sunit = ScanConfig(
+    report = vojta_scan(sunit_preset_config())
+    units = s_units((2, 3), 10 ** 6)
+    assert len(calls) <= 1 + 2 * len(units)
+    assert len(report.rows) == len(units) ** 2 - 1
+    calls.clear()
+    report = vojta_scan(tie_config(14))
+    assert len(calls) <= 3 * 28  # the nonzero values of each coordinate
+    assert len(report.rows) > 20_000
+
+
+def sunit_preset_config():
+    return ScanConfig(
         weights=W123,
         subscheme=Subscheme(
             (parse_polynomial("x1-x0", W123), parse_polynomial("x2-x0", W123)),
@@ -855,11 +870,43 @@ def test_scan_strips_per_value_not_per_tuple(monkeypatch):
         s_primes=frozenset({2, 3}),
         domain=SUnitGrid((2, 3), 10 ** 6),
     )
-    report = vojta_scan(sunit)
-    units = s_units((2, 3), 10 ** 6)
-    assert len(calls) <= 1 + 2 * len(units)
-    assert len(report.rows) == len(units) ** 2 - 1
-    calls.clear()
+
+
+def test_scan_checks_no_walk_tuple(monkeypatch):
+    # the benchmark's seed-0 sunit-preset and box-scan configurations: the
+    # enumeration's tuples reach the row loop unchecked, only the walk's
+    # leaf wgcd checks a tuple, and only a plain gcd above 1 is factored
+    def refuse(*args):
+        raise AssertionError("the scan took the checked path")
+
+    checked = _counting(monkeypatch, wproj.gcdops, "_integer_tuple")
+    leaves = _counting(monkeypatch, wproj.scan, "wgcd")
+    factored = _counting(monkeypatch, wproj.gcdops, "_wgcd_exponents")
+    monkeypatch.setattr(wproj.scan, "_integer_tuple", refuse, raising=False)
+    monkeypatch.setattr(Subscheme, "values_at", refuse)
+    report = vojta_scan(sunit_preset_config())
+    assert checked == leaves == []
+    # the generators x1 - x0 and x2 - x0 at x0 = 1
+    points = [row.point for row in report.rows]
+    gcd_above_one = sum(math.gcd(x1 - 1, x2 - 1) > 1 for _, x1, x2 in points)
+    assert len(factored) == gcd_above_one == 2_992
+    factored.clear()
     report = vojta_scan(tie_config(14))
-    assert len(calls) <= 3 * 28  # the nonzero values of each coordinate
-    assert len(report.rows) > 20_000
+    assert len(checked) == len(leaves) == 1_304
+    # each leaf's tuple at weights (1, 1, 2); the rows' gcd weights are (1, 1)
+    assert factored == [(p, W112) for p, _ in leaves]
+    assert len(report.rows) == 20_628
+
+
+def test_evaluate_point_checks_a_point_from_outside():
+    config = make_config()
+    with pytest.raises(NonIntegralValue, match=r"^1/2 is not an integer$"):
+        evaluate_point(config, (Fraction(1, 2), 1, 1))
+    with pytest.raises(ArityMismatch, match=r"^expected 3 values, got 2$"):
+        evaluate_point(config, (1, 1))
+    with pytest.raises(AllZero, match=r"^weighted gcd of the all-zero tuple is undefined$"):
+        evaluate_point(config, (0, 0, 0))
+    # an integral Fraction point is its int point, in the row too
+    row = evaluate_point(config, (Fraction(2), Fraction(4), Fraction(6)))
+    assert row == evaluate_point(config, (2, 4, 6))
+    assert [type(v) for v in row.point] == [int] * 3 and type(row.point) is tuple
