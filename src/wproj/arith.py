@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Sequence, Union
 
-from .errors import ComparisonBudgetExceeded, FactoringBudgetExceeded, ZeroInput
+from .errors import ComparisonBudgetExceeded, FactoringBudgetExceeded, ParseError, ZeroInput
 
 RationalLike = Union[int, Fraction]
 
@@ -165,6 +165,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, with a zero denominator as a ParseError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .arith import ARCHIMEDEAN, LogValue, Place, is_prime
+from .arith import ARCHIMEDEAN, LogValue, Place, is_prime, parse_rational
 from .errors import MixedDegree, ParseError, WProjError
 from .gcdops import Subscheme, hwgcd, log_hwgcd, log_wgcd, wgcd
 from .heights import wheight
@@ -101,10 +101,6 @@ def _parse_domain(text: str, n_coords: int):
                     bounds.append((int(lo), int(hi)))
                 except ValueError:
                     raise ParseError(f"bad box bound {part!r}")
-            if len(bounds) != n_coords:
-                raise ParseError(
-                    f"box needs {n_coords} bounds, got {len(bounds)}"
-                )
             return BoxDomain(tuple(bounds))
         try:
             radius = int(rest)
@@ -116,8 +112,6 @@ def _parse_domain(text: str, n_coords: int):
         if not primes_text:
             raise ParseError("sunit domain needs 'sunit:p1,p2,...:MAX'")
         primes = tuple(sorted(_parse_s_primes(primes_text)))
-        if not primes:
-            raise ParseError("sunit domain needs at least one prime")
         try:
             max_value = int(max_text)
         except ValueError:
@@ -359,8 +353,8 @@ def cmd_vojta_scan(args) -> int:
     config = ScanConfig(
         weights=w,
         subscheme=sub,
-        epsilon=Fraction(args.epsilon),
-        delta=Fraction(args.delta),
+        epsilon=parse_rational(args.epsilon),
+        delta=parse_rational(args.delta),
         s_primes=_parse_s_primes(args.s_primes),
         domain=_parse_domain(args.domain, len(w)),
         codim=args.codim,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .arith import RationalLike, as_fraction, integer_nthroot
+from .arith import RationalLike, as_fraction, integer_nthroot, parse_rational
 from .errors import (
     AllZero,
     ArityMismatch,
@@ -87,7 +87,7 @@ def parse_coords(text: str) -> tuple[Fraction, ...]:
     for part in parts:
         if not _COORD_RE.match(part):
             raise ParseError(f"bad coordinate {part!r}")
-        out.append(Fraction(part))
+        out.append(parse_rational(part))
     return tuple(out)
 
 

@@ -13,20 +13,21 @@ explicit codimension override).  Rows are deterministic: fixed
 enumeration order, no timestamps or randomness in the serialized
 output.
 
-Both the scan and the audit enumerate their tuples with weighted GCD 1
-by one gcd-prefix walk (``primitive_tuples``).  A prime p divides
-wgcd(x) exactly when p^(q_i) divides every nonzero x_i, so a gcd of
-per-value tables, carried down the coordinates, clears whole subtrees
-at once, and only the tuples it cannot clear pay a ``wgcd`` call.
+The scan and the audit enumerate the tuples with weighted GCD 1 by one
+gcd-prefix walk (``primitive_tuples``) over per-coordinate values, which
+for a scan only ``ScanConfig.coordinate_values`` decides (0 left out).
+A prime p divides wgcd(x) exactly when p^(q_i) divides every nonzero
+x_i, so a gcd of tables of r_q(v) (``_radical``), carried down the
+coordinates, clears whole subtrees at once; only the rest pay ``wgcd``.
 
 The domain is cut into slices (``parts``), one per value of its first
-coordinate that varies.  With W workers, slice i is scanned by process
-i mod W: this one and W - 1 forked children, each of which enumerates,
-evaluates and renders its own slices.  The slices are merged in
-enumeration order, so the rows are the same for any worker count.  A
-failing slice ends its process's share, and the merge raises the
-error of the earliest failing slice in enumeration order: the error
-that one worker would have raised first.
+coordinate that takes more than one value.  With W workers, slice i
+is scanned by process i mod W: this one and W - 1 forked children, each
+of which enumerates, evaluates and renders its own slices.  The slices
+are merged in enumeration order, so the rows are the same for any
+worker count.  A failing slice ends its process's share, and the merge
+raises the error of the earliest failing slice in enumeration order:
+the error that one worker would have raised first.
 
 Each slice's tuples are evaluated by one row loop (``_rows``) with the
 config's constants bound once.  The enumeration yields tuples of ints
@@ -47,7 +48,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .arith import _TRIAL_LIMIT, RationalLike, log_sum_sign, s_part
-from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights
+from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights, ZeroInput
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, _int_values, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
@@ -80,10 +81,10 @@ class SUnitGrid:
     max_value: int
 
     def __post_init__(self):
+        if not self.primes:
+            raise ValueError("sunit domain needs at least one prime")
         if self.max_value < 1:
             raise ValueError("S-unit grid needs max_value >= 1")
-        if not self.primes:
-            raise ValueError("S-unit grid needs at least one prime")
 
 
 Domain = Union[BoxDomain, SUnitGrid]
@@ -100,6 +101,9 @@ class ScanConfig:
     codim: int | None = None
 
     def __post_init__(self):
+        n = len(self.weights)
+        if isinstance(self.domain, BoxDomain) and len(self.domain.bounds) != n:
+            raise ValueError(f"box needs {n} bounds, got {len(self.domain.bounds)}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.delta < 0:
@@ -111,6 +115,10 @@ class ScanConfig:
                 "the rhs exponent needs r - 1 + delta > 0 "
                 "(the inequality assumes codimension >= 2)"
             )
+        try:
+            self.float_epsilon, self.rhs_exponent  # cached now, before any slice runs
+        except OverflowError:
+            raise FloatOverflow("epsilon, delta and codim must lie in the float range") from None
 
     @property
     def r(self) -> int:
@@ -127,22 +135,20 @@ class ScanConfig:
 
     @cached_property
     def coordinate_values(self) -> tuple[Sequence[int], ...]:
-        """The values each coordinate takes over the domain, in order."""
+        """The nonzero values each coordinate takes over the domain, in order."""
         domain = self.domain
         if isinstance(domain, BoxDomain):
-            if len(domain.bounds) != len(self.weights):
-                raise ValueError("box bounds must match the number of coordinates")
-            return tuple(range(lo, hi + 1) for lo, hi in domain.bounds)
+            return tuple([v for v in range(lo, hi + 1) if v] for lo, hi in domain.bounds)
         units = s_units(domain.primes, domain.max_value)
         return ((1,),) + (units,) * (len(self.weights) - 1)
 
     @cached_property
     def coordinate_terms(self) -> tuple[dict[int, tuple[float, int]], ...]:
         """Per coordinate i, v -> (log|v|/q_i, s_part(v, S)) for each
-        nonzero value v the domain gives it: all that rhs needs of one
+        value v the domain gives it: all that rhs needs of one
         coordinate, computed once per value instead of once per tuple."""
         return tuple(
-            {v: _coordinate_term(v, q, self.s_primes) for v in values if v}
+            {v: _coordinate_term(v, q, self.s_primes) for v in values}
             for values, q in zip(self.coordinate_values, self.weights.q)
         )
 
@@ -161,7 +167,8 @@ def _coordinate_term(v: int, q: int, s_primes: frozenset[int]) -> tuple[float, i
 
 
 def _radical(v: int, q: int) -> int:
-    """r_q(v), the product of the primes p with p^q | v, below
+    """r_q(v), the one table entry of ``primitive_tuples`` for the scan
+    and the audit: the product of the primes p with p^q | v, below
     _TRIAL_LIMIT, where factoring |v| takes trial division by at most 85
     numbers; |v| at 0, at q = 1 (it has the primes of r_1(v)) and from
     _TRIAL_LIMIT up.  There |v| is a multiple of r_q(v), which ``wgcd``
@@ -222,12 +229,10 @@ Part = tuple[Sequence[int], ...]
 
 def parts(config: ScanConfig) -> list[Part]:
     """The domain's slices in enumeration order: one per value of the
-    first coordinate of a box, or of the first free coordinate of an
-    S-unit grid (x_0 = 1)."""
+    first coordinate that takes more than one value, none when some
+    coordinate takes none, and the whole domain when every one takes one."""
     values = config.coordinate_values
-    i = 0 if isinstance(config.domain, BoxDomain) else 1
-    if i == len(values):
-        return [values]
+    i = min(range(len(values)), key=lambda j: (bool(values[j]), len(values[j]) == 1))
     return [(*values[:i], (v,), *values[i + 1:]) for v in values[i]]
 
 
@@ -272,12 +277,9 @@ def primitive_tuples(
 
 def candidate_points(config: ScanConfig, part: Part) -> Iterator[tuple[int, ...]]:
     """The slice's candidates in lexicographic order: its tuples with
-    weighted GCD 1 and, in a box, no zero coordinate (the prime-to-S
-    part of 0 is undefined).  Every S-unit tuple qualifies: x_0 = 1."""
-    if isinstance(config.domain, SUnitGrid):
-        return itertools.product(*part)
-    lists = [[v for v in values if v] for values in part]
-    return primitive_tuples(lists, config.coordinate_radicals, config.weights)
+    weighted GCD 1.  An S-unit slice has x_0 = 1 and r(1) = 1, so the
+    walk yields it whole as one product and calls no ``wgcd``."""
+    return primitive_tuples(part, config.coordinate_radicals, config.weights)
 
 
 def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow | None:
@@ -285,9 +287,12 @@ def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow
 
     The point comes from outside the scan, so this is where it is
     checked: ``gcdops._integer_tuple`` raises ArityMismatch, AllZero or
-    NonIntegralValue, and an integral point of Fractions becomes its
-    tuple of ints.  The row is then that of ``_rows``, the scan's loop."""
-    return next(_rows(config, (tuple(_integer_tuple(point, config.weights)),)))
+    NonIntegralValue, an integral point of Fractions becomes its tuple
+    of ints, and a zero coordinate raises ZeroInput.  The row is ``_rows``'s."""
+    x = tuple(_integer_tuple(point, config.weights))
+    if 0 in x:
+        raise ZeroInput(f"the prime-to-S part of 0 is undefined, at {format_point(x)}")
+    return next(_rows(config, (x,)))
 
 
 def _rows(config: ScanConfig, points: Iterable[tuple[int, ...]]) -> Iterator[ScanRow | None]:
@@ -447,9 +452,8 @@ def vojta_scan(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     slices = parts(config)
-    if not hasattr(os, "fork"):
-        workers = 1
-    workers = min(workers, os.cpu_count() or 1, len(slices))
+    cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    workers = max(1, min(workers, cpus, len(slices)))  # slices[::0] would raise
     children: list[_Child] = []
     try:
         for i in range(1, workers):
@@ -513,18 +517,11 @@ class AuditReport:
     counterexamples: list[AuditRow]
 
 
-def _canonical_points(
-    w: Weights, bound: int, floors: tuple[dict, ...]
-) -> Iterator[tuple[int, ...]]:
+def _canonical_points(w: Weights, bound: int) -> Iterator[tuple[int, ...]]:
     """Normalized integral representatives with |x_i| <= bound, in
     lexicographic order: the sign-canonical tuples with weighted GCD 1,
-    walked block by block with r_i(v) read from the ``_valuation_floors``
-    of that bound (the primes whose floor is positive)."""
-    radicals = tuple(
-        {v: 0 if e is None else math.prod(p for p, f in e.items() if f)
-         for v, e in column.items()}
-        for column in floors
-    )
+    walked block by block with the scan's r_i(v) (``_radical``)."""
+    radicals = tuple({v: _radical(v, q) for v in range(-bound, bound + 1)} for q in w.q)
     blocks = sign_canonical_blocks(w.q, bound)
     return itertools.chain.from_iterable(primitive_tuples(b, radicals, w) for b in blocks)
 
@@ -576,7 +573,7 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
     counterexamples: list[AuditRow] = []
     by_support: dict[tuple[bool, ...], bool] = {}
     floors = _valuation_floors(w, bound)
-    for point in _canonical_points(w, bound, floors):
+    for point in _canonical_points(w, bound):
         total += 1
         support = tuple(map(bool, point))
         singular = by_support.get(support)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .arith import RationalLike, as_fraction
+from .arith import RationalLike, as_fraction, parse_rational
 from .errors import (
     ArityMismatch,
     MixedDegree,
@@ -210,7 +210,7 @@ def parse_polynomial(text: str, weights: Weights) -> WPolynomial:
             if not match:
                 raise ParseError(f"bad factor {factor!r} in {text!r}")
             if match.group("num") is not None:
-                coeff *= Fraction(match.group("num"))
+                coeff *= parse_rational(match.group("num"))
             else:
                 index = int(match.group("var"))
                 if index >= nvars:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-
+import wproj.scan
 from wproj.cli import (
     _config_record,
     _json_row,
@@ -334,6 +334,54 @@ def test_float_overflow_is_an_error_record_for_any_worker_count(
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "float-overflow", "message": message}
     assert run_cli(capsys, "vojta-scan", *argv, "--workers", "2") == (code, out, err)
+
+
+SCAN_HEAD = ("vojta-scan", "--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("height", "[1/0:1]", "--weights", "(1,1)"),
+    ("zeta", "[1:1]", "--weights", "(1,1)", "--divisor", "1/0*x0", "--place", "2"),
+    (*SCAN_HEAD, "--domain", "box:2", "--epsilon", "1/0"),
+    (*SCAN_HEAD, "--domain", "box:2", "--delta", "1/0"),
+    ("vojta-scan", "--weights", "(1,1)", "--generators", "1/0*x1-x0", "--domain", "box:2",
+     "--codim", "2"),
+])
+def test_zero_denominator_is_a_parse_error(capsys, argv):
+    # once a ZeroDivisionError traceback with exit 1
+    assert run_cli(capsys, *argv) == (
+        2, "", '{"error": "parse-error", "message": "zero denominator in \'1/0\'"}\n'
+    )
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "1e400"), ("--delta", "1e400"), ("--codim", "1" + "0" * 400),
+])
+def test_epsilon_and_delta_past_the_float_range_fail_before_any_slice(
+    monkeypatch, capsys, flag, value
+):
+    # once an OverflowError traceback with exit 1
+    def refuse(*args):
+        raise AssertionError("a slice ran")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(wproj.scan, "_scan_share", refuse)
+    monkeypatch.setattr(wproj.scan, "_Child", refuse)
+    message = "epsilon, delta and codim must lie in the float range"
+    record = f'{{"error": "float-overflow", "message": "{message}"}}\n'
+    for workers in ("1", "2"):
+        argv = (*SCAN_HEAD, "--domain", "box:2", flag, value, "--workers", workers)
+        assert run_cli(capsys, *argv) == (3, "", record)
+
+
+@pytest.mark.parametrize("domain, message", [
+    ("box:-1..1,-1..1", "box needs 3 bounds, got 2"),
+    ("sunit:,:100", "sunit domain needs at least one prime"),
+])
+def test_domain_shape_errors_keep_their_records(capsys, domain, message):
+    assert run_cli(capsys, *SCAN_HEAD, "--domain", domain) == (
+        2, "", f'{{"error": "parse-error", "message": "{message}"}}\n'
+    )
 
 
 def _timed_scan(capsys, *argv):

@@ -24,6 +24,7 @@ from wproj.errors import (
     FloatOverflow,
     IllFormedWeights,
     NonIntegralValue,
+    ZeroInput,
 )
 from wproj.gcdops import Subscheme, log_hwgcd, wgcd
 from wproj.scan import (
@@ -263,6 +264,32 @@ def test_scan_raises_the_earliest_failing_slice(fake_children, monkeypatch):
         with pytest.raises(ValueError, match="^slice x0 = 2$"):
             vojta_scan(config, workers=workers, render=render)
     assert fake_children == [wproj.scan.parts(config)[1::2]]
+
+
+def test_parts_cut_at_the_first_coordinate_with_more_than_one_value(fake_children, monkeypatch):
+    # x0 takes one value, so the slices are cut at x1: one per nonzero value
+    config = make_config(domain=BoxDomain(((2, 2), (-3, 3), (-3, 3))))
+    slices = wproj.scan.parts(config)
+    assert [part[:2] for part in slices] == [([2], (v,)) for v in (-3, -2, -1, 1, 2, 3)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert vojta_scan(config, workers=2).rows == vojta_scan(config).rows
+    assert fake_children == [slices[1::2]]
+
+
+@pytest.mark.parametrize("domain", ["box:0", "box:0..0,-2..2,-2..2", "box:1..5,0..0,1..2"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_domain_with_no_slice_is_empty(fake_children, monkeypatch, capsys, domain, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code = main([
+        "vojta-scan", "--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0",
+        "--domain", domain, "--workers", workers,
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        '{"error": "empty-domain", "message": "no candidate points in the configured domain"}\n'
+    )
+    assert fake_children == []
 
 
 def _forking(monkeypatch):
@@ -596,8 +623,7 @@ def test_walk_calls_wgcd_only_to_reject(monkeypatch):
 
 
 def _canonical_points(w, bound):
-    floors = wproj.scan._valuation_floors(w, bound)
-    return list(wproj.scan._canonical_points(w, bound, floors))
+    return list(wproj.scan._canonical_points(w, bound))
 
 
 def _assert_log_hwgcd_vanishes(w, bound):
@@ -906,6 +932,9 @@ def test_evaluate_point_checks_a_point_from_outside():
         evaluate_point(config, (1, 1))
     with pytest.raises(AllZero, match=r"^weighted gcd of the all-zero tuple is undefined$"):
         evaluate_point(config, (0, 0, 0))
+    zero = r"^the prime-to-S part of 0 is undefined, at \[0:1:1\]$"
+    with pytest.raises(ZeroInput, match=zero):
+        evaluate_point(config, (0, 1, 1))
     # an integral Fraction point is its int point, in the row too
     row = evaluate_point(config, (Fraction(2), Fraction(4), Fraction(6)))
     assert row == evaluate_point(config, (2, 4, 6))
