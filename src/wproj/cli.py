@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def _parse_generators(text: str, weights: Weights):
     return tuple(parse_polynomial(part, weights) for part in parts)
 
 
-def _parse_s_primes(text: str) -> frozenset[int]:
+def _parse_s_primes(text: str, flag: str = "--s-primes") -> frozenset[int]:
     if not text.strip():
         return frozenset()
     out = set()
@@ -85,7 +86,7 @@ def _parse_s_primes(text: str) -> frozenset[int]:
             continue
         p = int(part)
         if not is_prime(p):
-            raise ParseError(f"{p} in --s-primes is not prime")
+            raise ParseError(f"{p} in {flag} is not prime")
         out.add(p)
     return frozenset(out)
 
@@ -111,7 +112,7 @@ def _parse_domain(text: str, n_coords: int):
         primes_text, _, max_text = rest.rpartition(":")
         if not primes_text:
             raise ParseError("sunit domain needs 'sunit:p1,p2,...:MAX'")
-        primes = tuple(sorted(_parse_s_primes(primes_text)))
+        primes = tuple(sorted(_parse_s_primes(primes_text, "--domain")))
         try:
             max_value = int(max_text)
         except ValueError:
@@ -183,6 +184,9 @@ def cmd_normalize(args) -> int:
     return 0
 
 
+_SYMBOLIC_POINT = re.compile(r"\s*\[\s*x\d+(?:\s*:\s*x\d+)*\s*\]\s*")
+
+
 def cmd_veronese(args) -> int:
     w = parse_weights(args.weights)
     reduction = reduce(w)
@@ -195,12 +199,8 @@ def cmd_veronese(args) -> int:
         "exponents": list(data.exps),
         "is_embedding": data.is_embedding,
     }
-    try:
-        x = parse_point(args.point, w)
-    except ParseError:
-        x = None  # symbolic point: report the map data only
-    if x is not None:
-        record["image"] = format_point(veronese(x))
+    if not _SYMBOLIC_POINT.fullmatch(args.point):  # a symbolic point gets the map data only
+        record["image"] = format_point(veronese(parse_point(args.point, w)))
     _emit(record)
     return 0
 

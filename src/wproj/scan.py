@@ -29,12 +29,13 @@ worker count.  A failing slice ends its process's share, and the merge
 raises the error of the earliest failing slice in enumeration order:
 the error that one worker would have raised first.
 
-Each slice's tuples are evaluated by one row loop (``_rows``) with the
-config's constants bound once.  The enumeration yields tuples of ints
-of the right length, not all zero, so the loop checks only that each
-generator value is an integer; a point from outside enters through
+Every row is made by one row loop, ``_scan_part``, with the config's
+constants bound once per call and each coordinate's terms read from a
+table built by ``ScanConfig.terms``.  The enumeration yields tuples of
+ints of the right length, not all zero, so the loop checks only that
+each generator value is an integer; a point from outside enters through
 ``evaluate_point``, which makes the arity, all-zero and integrality
-checks and then runs the same loop on it.
+checks and then runs the same loop on it alone, with its own terms.
 """
 
 from __future__ import annotations
@@ -47,14 +48,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .arith import _TRIAL_LIMIT, RationalLike, log_sum_sign, s_part
+from .arith import _SIGN_MARGIN, _TRIAL_LIMIT, ARCHIMEDEAN, RationalLike, log_sum_sign, s_part
 from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights, ZeroInput
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, _int_values, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
+from .heights import max_term
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
 from .points import WPoint, format_point, sign_canon, sign_canonical_blocks
 from .singular import is_singular
-from .weights import Weights
+from .weights import Weights, veronese_data
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,13 @@ class ScanConfig:
                 "the rhs exponent needs r - 1 + delta > 0 "
                 "(the inequality assumes codimension >= 2)"
             )
-        try:
-            self.float_epsilon, self.rhs_exponent  # cached now, before any slice runs
-        except OverflowError:
-            raise FloatOverflow("epsilon, delta and codim must lie in the float range") from None
+        try:  # cached now, before any slice runs
+            self.float_epsilon
+            finite = math.isfinite(self.rhs_exponent)  # not at a delta below the float range
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise FloatOverflow("epsilon, delta and codim must lie in the float range")
 
     @property
     def r(self) -> int:
@@ -142,15 +147,19 @@ class ScanConfig:
         units = s_units(domain.primes, domain.max_value)
         return ((1,),) + (units,) * (len(self.weights) - 1)
 
+    def terms(self, values: Sequence[Iterable[int]]) -> tuple[dict[int, tuple[float, int]], ...]:
+        """Per coordinate i, v -> (log|v|/q_i, s_part(v, S)) for each
+        nonzero v in values[i]: all that rhs needs of one coordinate."""
+        return tuple(
+            {v: (math.log(abs(v)) / q, s_part(v, self.s_primes)) for v in column}
+            for column, q in zip(values, self.weights.q)
+        )
+
     @cached_property
     def coordinate_terms(self) -> tuple[dict[int, tuple[float, int]], ...]:
-        """Per coordinate i, v -> (log|v|/q_i, s_part(v, S)) for each
-        value v the domain gives it: all that rhs needs of one
-        coordinate, computed once per value instead of once per tuple."""
-        return tuple(
-            {v: _coordinate_term(v, q, self.s_primes) for v in values}
-            for values, q in zip(self.coordinate_values, self.weights.q)
-        )
+        """``terms`` of the domain's values, computed once per value
+        instead of once per tuple."""
+        return self.terms(self.coordinate_values)
 
     @cached_property
     def coordinate_radicals(self) -> tuple[dict[int, int], ...]:
@@ -160,10 +169,6 @@ class ScanConfig:
             {v: _radical(v, q) for v in values}
             for values, q in zip(self.coordinate_values, self.weights.q)
         )
-
-
-def _coordinate_term(v: int, q: int, s_primes: frozenset[int]) -> tuple[float, int]:
-    return math.log(abs(v)) / q, s_part(v, s_primes)
 
 
 def _radical(v: int, q: int) -> int:
@@ -200,9 +205,13 @@ class ScanReport:
     config: ScanConfig
     rows: list[ScanRow]
     total_candidates: int
-    skipped_on_subscheme: int
     exceptional_count: int
     max_ratio: float
+
+    @property
+    def skipped_on_subscheme(self) -> int:
+        """The candidates where every generator vanishes, which give no row."""
+        return self.total_candidates - len(self.rows)
 
 
 def s_units(primes: Sequence[int], max_value: int) -> list[int]:
@@ -288,43 +297,45 @@ def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow
     The point comes from outside the scan, so this is where it is
     checked: ``gcdops._integer_tuple`` raises ArityMismatch, AllZero or
     NonIntegralValue, an integral point of Fractions becomes its tuple
-    of ints, and a zero coordinate raises ZeroInput.  The row is ``_rows``'s."""
+    of ints, and a zero coordinate raises ZeroInput.  The row is the one
+    ``_scan_part`` makes of it, with its coordinates' own terms."""
     x = tuple(_integer_tuple(point, config.weights))
     if 0 in x:
         raise ZeroInput(f"the prime-to-S part of 0 is undefined, at {format_point(x)}")
-    return next(_rows(config, (x,)))
+    rows = _scan_part(config, _identity, (x,), config.terms([(v,) for v in x]))[-1]
+    return rows[0] if rows else None
 
 
-def _rows(config: ScanConfig, points: Iterable[tuple[int, ...]]) -> Iterator[ScanRow | None]:
-    """The row at each point, or None when every generator vanishes there.
+def _scan_part(
+    config: ScanConfig, render: Renderer, points: Iterable[tuple[int, ...]],
+    tables: Sequence[dict[int, tuple[float, int]]],
+) -> tuple[int, int, float, list]:
+    """(candidates, exceptional, max ratio, rendered rows) of the points.
 
     Each point is a tuple of ints of the right length, not all zero, as
     ``candidate_points`` yields them; only the generator values are
-    checked (NonIntegralValue), and they stay ints up to lhs.  The
-    coordinates' terms come from ``config.coordinate_terms``, or are
-    computed here for a point outside the domain.  The prime-to-S part
-    is multiplicative, so their product is s_part(x_0 ... x_n, S).
-    The floats decide lhs > rhs unless lhs / rhs is within 1e-9 of 1,
-    far above their rounding error.  There the sign of log lhs - rhs's
-    log, a sum of three logs of ints, is decided exactly by
-    ``log_sum_sign``, with the max over the coordinates picked on ints."""
+    checked (NonIntegralValue), and they stay ints up to lhs.  A point
+    where every generator vanishes is a candidate with no row.  The
+    coordinates' terms come from ``tables`` (``ScanConfig.terms``); the
+    prime-to-S part is multiplicative, so their product is
+    s_part(x_0 ... x_n, S).  The floats decide lhs > rhs unless lhs / rhs
+    is within ``arith._SIGN_MARGIN`` of 1, far above their rounding
+    error.  There the sign of log lhs - log rhs is decided exactly by
+    ``log_sum_sign``, with max_i |x_i|^(m/q_i) from ``heights.max_term``."""
     forms = [g.integer_form for g in config.subscheme.generators]
     gcd_weights = config.subscheme.gcd_weights
-    tables = config.coordinate_terms
-    epsilon, s_exponent = config.float_epsilon, config.rhs_exponent
+    epsilon, s_exponent, margin = config.float_epsilon, config.rhs_exponent, _SIGN_MARGIN
     log, exp, prod = math.log, math.exp, math.prod
+    total = exceptional_count = 0
+    max_ratio = -math.inf
+    rows = []
     for point in points:
+        total += 1
         values = _int_values(forms, point)
         if not any(values):
-            yield None
             continue
         lhs = _wgcd_value(values, gcd_weights)  # ints, not all 0
-        try:
-            terms = [table[v] for table, v in zip(tables, point)]
-        except KeyError:  # a point outside the domain
-            pairs = zip(point, config.weights.q)
-            terms = [_coordinate_term(v, q, config.s_primes) for v, q in pairs]
-        logs, coord_parts = zip(*terms)
+        logs, coord_parts = zip(*[table[v] for table, v in zip(tables, point)])
         stripped = prod(coord_parts)
         log_rhs = epsilon * max(logs) + log(stripped) * s_exponent
         try:
@@ -335,35 +346,19 @@ def _rows(config: ScanConfig, points: Iterable[tuple[int, ...]]) -> Iterator[Sca
                 f"the row at {format_point(point)} leaves the float range "
                 f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
             ) from None
-        if abs(ratio - 1.0) > 1e-9:
+        if abs(ratio - 1.0) > margin:
             exceptional = lhs > rhs
         else:
-            q = config.weights.q
-            k = 0  # |x_k|^(1/q_k) is the max: compare |x_i|^(q_k) with |x_k|^(q_i)
-            for i in range(1, len(point)):
-                if abs(point[i]) ** q[k] > abs(point[k]) ** q[i]:
-                    k = i
-            s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
-            log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
+            w = config.weights
+            top = max_term(point, veronese_data(w).exps, ARCHIMEDEAN)  # max_i |x_i|^(m/q_i)
+            s_exp = 1 / (w.qprod * (config.r - 1 + config.delta))
+            log_terms = [(lhs, 1), (top, -config.epsilon / w.m), (stripped, -s_exp)]
             exceptional = log_sum_sign(log_terms) > 0
-        yield ScanRow(point, lhs, rhs, ratio, exceptional)
-
-
-def _scan_part(config: ScanConfig, render: Renderer, part: Part):
-    """(candidates, skipped, exceptional, max ratio, rendered rows) of one slice."""
-    total = skipped = exceptional = 0
-    max_ratio = -math.inf
-    rows = []
-    for row in _rows(config, candidate_points(config, part)):
-        total += 1
-        if row is None:
-            skipped += 1
-            continue
-        exceptional += row.exceptional
-        if row.ratio > max_ratio:
-            max_ratio = row.ratio
-        rows.append(render(row))
-    return total, skipped, exceptional, max_ratio, rows
+        exceptional_count += exceptional
+        if ratio > max_ratio:
+            max_ratio = ratio
+        rows.append(render(ScanRow(point, lhs, rhs, ratio, exceptional)))
+    return total, exceptional_count, max_ratio, rows
 
 
 def _scan_share(config: ScanConfig, render: Renderer, share: Iterable[Part]) -> list:
@@ -372,7 +367,8 @@ def _scan_share(config: ScanConfig, render: Renderer, share: Iterable[Part]) -> 
     results = []
     for part in share:
         try:
-            results.append(_scan_part(config, render, part))
+            points = candidate_points(config, part)  # looked up per call: a tracer may rebind it
+            results.append(_scan_part(config, render, points, config.coordinate_terms))
         except Exception as exc:  # handed to the merge, which raises it in order
             results.append(exc)
             break
@@ -463,7 +459,7 @@ def vojta_scan(
     finally:
         for child in children:
             child.kill()
-    total = skipped = exceptional = 0
+    total = exceptional = 0
     max_ratio = -math.inf
     rows: list = []
     # slice i is entry i // workers of share i % workers; a share that
@@ -473,9 +469,8 @@ def vojta_scan(
             continue
         if isinstance(result, Exception):
             raise result
-        part_total, part_skipped, part_exceptional, part_max, part_rows = result
+        part_total, part_exceptional, part_max, part_rows = result
         total += part_total
-        skipped += part_skipped
         exceptional += part_exceptional
         max_ratio = max(max_ratio, part_max)
         rows += part_rows
@@ -489,7 +484,6 @@ def vojta_scan(
         config=config,
         rows=rows,
         total_candidates=total,
-        skipped_on_subscheme=skipped,
         exceptional_count=exceptional,
         max_ratio=max_ratio,
     )
@@ -566,6 +560,8 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
     |v| <= bound is factored once, and a point's floors are read from
     the per-coordinate tables of ``_valuation_floors``.
     """
+    if bound < 0:
+        raise ValueError(f"the audit bound must be non-negative, got {bound}")
     if not w.is_well_formed():
         raise IllFormedWeights(f"weights {w} are not well-formed")
     total = 0

@@ -86,6 +86,18 @@ def test_veronese_command_numeric(capsys):
     assert record["is_embedding"] is True
 
 
+@pytest.mark.parametrize("point, message", [
+    ("[1/0:1]", "zero denominator in '1/0'"),
+    ("[1:2", "cannot parse point from '[1:2'"),
+    ("[abc:1]", "bad coordinate 'abc'"),
+])
+def test_veronese_rejects_a_malformed_numeric_point(capsys, point, message):
+    # once exit 0 with the map data only, as for a symbolic point
+    assert run_cli(capsys, "veronese", point, "--weights", "(1,2)") == (
+        2, "", json.dumps({"error": "parse-error", "message": message}) + "\n"
+    )
+
+
 def test_singular_command(capsys):
     record = run_json(capsys, "singular", "[0:1:0:0]", "--weights", "(1,2,3,5)")
     assert record["singular"] is True
@@ -325,6 +337,9 @@ def test_child_side_error_matches_one_worker(monkeypatch, capsys):
     (("--weights", "(1,1)", "--generators", "x1^400-x0^400", "--gcd-weights", "(1)",
       "--delta", "1", "--domain", "box:10"),
      "the row at [-10:-9] leaves the float range (log rhs = 6.80239, lhs has 1329 bits)"),
+    # a delta this small still has a float rhs exponent, 1e300, so it fails per row
+    (("--weights", "(1,1)", "--generators", "x1-x0", "--delta", "1e-300", "--domain", "box:3"),
+     "the row at [-3:-2] leaves the float range (log rhs = 1.79176e+300, lhs has 1 bits)"),
 ])
 def test_float_overflow_is_an_error_record_for_any_worker_count(
     monkeypatch, capsys, argv, message
@@ -382,6 +397,42 @@ def test_domain_shape_errors_keep_their_records(capsys, domain, message):
     assert run_cli(capsys, *SCAN_HEAD, "--domain", domain) == (
         2, "", f'{{"error": "parse-error", "message": "{message}"}}\n'
     )
+
+
+@pytest.mark.parametrize("delta", ["1e-400", "1e-320"])
+def test_delta_below_the_float_range_fails_before_any_slice(monkeypatch, capsys, delta):
+    # 1e-400 was a ZeroDivisionError traceback with exit 1; 1e-320 printed
+    # inf and nan, and bare inf in --format json
+    def refuse(*args):
+        raise AssertionError("a slice ran")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(wproj.scan, "_scan_share", refuse)
+    monkeypatch.setattr(wproj.scan, "_Child", refuse)
+    message = "epsilon, delta and codim must lie in the float range"
+    record = f'{{"error": "float-overflow", "message": "{message}"}}\n'
+    for workers in ("1", "2"):
+        argv = ("vojta-scan", "--weights", "(1,1)", "--generators", "x1-x0",
+                "--delta", delta, "--domain", "box:3", "--workers", workers)
+        assert run_cli(capsys, *argv) == (3, "", record)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((*SCAN_HEAD, "--domain", "sunit:4:100"), "4 in --domain is not prime"),
+    ((*SCAN_HEAD, "--domain", "sunit:2:100", "--s-primes", "4"), "4 in --s-primes is not prime"),
+    (("sing1-audit", "--weights", "(2,3,5)", "--bound", "-1"),
+     "the audit bound must be non-negative, got -1"),
+])
+def test_input_records_name_the_bad_input(capsys, argv, message):
+    # sunit:4:100 once named --s-primes; --bound -1 once gave an empty report
+    assert run_cli(capsys, *argv) == (
+        2, "", json.dumps({"error": "parse-error", "message": message}) + "\n"
+    )
+
+
+def test_audit_bound_zero_is_an_empty_report(capsys):
+    record = run_json(capsys, "sing1-audit", "--weights", "(2,3,5)", "--bound", "0")
+    assert record["summary"]["points"] == 0 and record["counterexamples"] == []
 
 
 def _timed_scan(capsys, *argv):

@@ -456,6 +456,32 @@ def test_near_tie_verdict_matches_the_integers(b, a):
     assert row.exceptional == (3 ** a > 2 ** b)
 
 
+W112_NEAR_TIE = ScanConfig(
+    weights=W112,
+    subscheme=Subscheme(
+        (parse_polynomial("3*x0", W112), parse_polynomial("3*x1", W112)), Weights.of(1, 1)
+    ),
+    epsilon=Fraction(1),
+    delta=Fraction(0),
+    s_primes=frozenset({2}),
+    domain=BoxDomain(((1, 1), (1, 1), (4, 4))),
+)
+
+
+@pytest.mark.parametrize("b, a", [
+    (50508, 31867), (125743, 79335), (176251, 111202), (301994, 190537),
+])
+def test_near_tie_takes_the_max_at_a_weighted_coordinate(b, a):
+    # at weights (1,1,2) the max of |x_i|^(1/q_i) at [1:1:4] is 4^(1/2) = 2,
+    # so rhs = 2^epsilon against lhs = 3, as in near_tie_config
+    config = dataclasses.replace(W112_NEAR_TIE, epsilon=Fraction(b, a))
+    row = evaluate_point(config, (1, 1, 4))
+    assert row.lhs == 3
+    assert abs(row.ratio - 1.0) <= 1e-9
+    assert row.exceptional == (3 ** a > 2 ** b)
+    assert vojta_scan(config).rows == [row]
+
+
 def test_sunit_scan_with_denominator_matches_fraction_reference():
     # x1*(x1+x0)/2 is integral wherever x0 = 1, so the scan must accept it
     config = make_config(
@@ -896,6 +922,28 @@ def sunit_preset_config():
         s_primes=frozenset({2, 3}),
         domain=SUnitGrid((2, 3), 10 ** 6),
     )
+
+
+def test_evaluate_point_is_the_scans_row_on_and_off_the_grid():
+    config = sunit_preset_config()
+    report = vojta_scan(config)
+    for row in report.rows[::997] + report.rows[-3:]:
+        assert evaluate_point(config, row.point) == row
+    assert evaluate_point(config, (1, 1, 1)) is None  # the one candidate with no row
+    # off the grid: x0 = 2, and 5, 7, 11 are not S-units
+    for point in [(2, 3, 5), (-7, 11, 4), (1, 2 ** 40 * 5, 3 ** 30)]:
+        row = evaluate_point(config, point)
+        assert (row.lhs, row.rhs.hex(), row.ratio.hex(), row.exceptional) == (
+            _direct_row(config, point)[:4]
+        ), point
+
+
+# the candidates [x:x:x] with weighted GCD 1: x = 1 on the grid, the 20
+# squarefree x with 0 < |x| <= 14 at weights (1,1,2) in the box
+@pytest.mark.parametrize("config, skipped", [(sunit_preset_config(), 1), (tie_config(14), 20)])
+def test_skipped_count_is_the_candidates_without_a_row(config, skipped):
+    report = vojta_scan(config)
+    assert report.skipped_on_subscheme == report.total_candidates - len(report.rows) == skipped
 
 
 def test_scan_checks_no_walk_tuple(monkeypatch):
