@@ -48,15 +48,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .arith import _SIGN_MARGIN, _TRIAL_LIMIT, ARCHIMEDEAN, RationalLike, log_sum_sign, s_part
+from .arith import _SIGN_MARGIN, _TRIAL_LIMIT, RationalLike, log_sum_sign, s_part
 from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights, ZeroInput
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, _int_values, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
-from .heights import max_term
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
 from .points import WPoint, format_point, sign_canon, sign_canonical_blocks
 from .singular import is_singular
-from .weights import Weights, veronese_data
+from .weights import Weights
 
 
 @dataclass(frozen=True)
@@ -320,8 +319,9 @@ def _scan_part(
     prime-to-S part is multiplicative, so their product is
     s_part(x_0 ... x_n, S).  The floats decide lhs > rhs unless lhs / rhs
     is within ``arith._SIGN_MARGIN`` of 1, far above their rounding
-    error.  There the sign of log lhs - log rhs is decided exactly by
-    ``log_sum_sign``, with max_i |x_i|^(m/q_i) from ``heights.max_term``."""
+    error.  There the sign of log lhs - log rhs, a sum of three logs of
+    ints, is decided exactly by ``log_sum_sign``, with the max over the
+    coordinates picked on ints raised to no power above the weights."""
     forms = [g.integer_form for g in config.subscheme.generators]
     gcd_weights = config.subscheme.gcd_weights
     epsilon, s_exponent, margin = config.float_epsilon, config.rhs_exponent, _SIGN_MARGIN
@@ -349,10 +349,13 @@ def _scan_part(
         if abs(ratio - 1.0) > margin:
             exceptional = lhs > rhs
         else:
-            w = config.weights
-            top = max_term(point, veronese_data(w).exps, ARCHIMEDEAN)  # max_i |x_i|^(m/q_i)
-            s_exp = 1 / (w.qprod * (config.r - 1 + config.delta))
-            log_terms = [(lhs, 1), (top, -config.epsilon / w.m), (stripped, -s_exp)]
+            q = config.weights.q
+            k = 0  # |x_k|^(1/q_k) is the max: compare |x_i|^(q_k) with |x_k|^(q_i)
+            for i in range(1, len(point)):
+                if abs(point[i]) ** q[k] > abs(point[k]) ** q[i]:
+                    k = i
+            s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
+            log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
             exceptional = log_sum_sign(log_terms) > 0
         exceptional_count += exceptional
         if ratio > max_ratio:

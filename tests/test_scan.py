@@ -114,6 +114,8 @@ def test_scan_skips_points_on_subscheme():
     assert all(row.point[1:] != (row.point[0], row.point[0]) for row in report.rows)
     assert report.skipped_on_subscheme >= 1  # (1,1,1) at least
     assert report.total_candidates == len(report.rows) + report.skipped_on_subscheme
+    # [x:x:x] with weighted GCD 1: the 20 squarefree x with 0 < |x| <= 14
+    assert vojta_scan(tie_config(14)).skipped_on_subscheme == 20
 
 
 def test_all_unit_values_never_exceptional():
@@ -430,54 +432,41 @@ def test_box_scan_verdicts_are_exact():
     assert set(TIE_POINTS) <= {row.point for row in report.rows}
 
 
-def near_tie_config(epsilon):
-    # lhs = 3 at [1:1:2], and S = {2} leaves rhs = 2^epsilon
+def near_tie_config(epsilon, weights=W111, generators=("3*x0", "3*x1"), point=(1, 1, 2)):
+    # lhs = 3 at the point, and S = {2} leaves rhs = 2^epsilon
     return ScanConfig(
-        weights=W111,
+        weights=weights,
         subscheme=Subscheme(
-            (parse_polynomial("3*x0", W111), parse_polynomial("3*x1", W111))
+            tuple(parse_polynomial(g, weights) for g in generators), Weights.of(1, 1)
         ),
         epsilon=epsilon,
         delta=Fraction(0),
         s_primes=frozenset({2}),
-        domain=BoxDomain(((1, 1), (1, 1), (2, 2))),
+        domain=BoxDomain(tuple((v, v) for v in point)),
     )
+
+
+# the max of |x_i|^(1/q_i) is 2, at q_k = 1 of m = 1, at q_k = 2 of m = 2
+# and at q_k = 1 of m = 6
+NEAR_TIES = {
+    "": (W111, ("3*x0", "3*x1"), (1, 1, 2)),
+    "w112": (W112, ("3*x0", "3*x1"), (1, 1, 4)),
+    "w123": (Weights.of(1, 2, 3), ("3*x1", "3*x2"), (2, 1, 1)),
+}
 
 
 # convergents b/a of log_2 3 within 1e-9 of it, from both sides, whose
 # integer comparison stays within the comparison budget
-@pytest.mark.parametrize("b, a", [
-    (50508, 31867), (125743, 79335), (176251, 111202), (301994, 190537),
+@pytest.mark.parametrize("case, b, a", [
+    pytest.param(case, b, a, id="-".join(filter(None, (case, str(b), str(a)))))
+    for case in NEAR_TIES
+    for b, a in [(50508, 31867), (125743, 79335), (176251, 111202), (301994, 190537)]
 ])
-def test_near_tie_verdict_matches_the_integers(b, a):
-    row = evaluate_point(near_tie_config(Fraction(b, a)), (1, 1, 2))
+def test_near_tie_verdict_matches_the_integers(case, b, a):
+    config = near_tie_config(Fraction(b, a), *NEAR_TIES[case])
+    row = evaluate_point(config, NEAR_TIES[case][2])
     assert row.lhs == 3
     assert abs(row.ratio - 1.0) <= 1e-9  # the floats leave it to exact work
-    assert row.exceptional == (3 ** a > 2 ** b)
-
-
-W112_NEAR_TIE = ScanConfig(
-    weights=W112,
-    subscheme=Subscheme(
-        (parse_polynomial("3*x0", W112), parse_polynomial("3*x1", W112)), Weights.of(1, 1)
-    ),
-    epsilon=Fraction(1),
-    delta=Fraction(0),
-    s_primes=frozenset({2}),
-    domain=BoxDomain(((1, 1), (1, 1), (4, 4))),
-)
-
-
-@pytest.mark.parametrize("b, a", [
-    (50508, 31867), (125743, 79335), (176251, 111202), (301994, 190537),
-])
-def test_near_tie_takes_the_max_at_a_weighted_coordinate(b, a):
-    # at weights (1,1,2) the max of |x_i|^(1/q_i) at [1:1:4] is 4^(1/2) = 2,
-    # so rhs = 2^epsilon against lhs = 3, as in near_tie_config
-    config = dataclasses.replace(W112_NEAR_TIE, epsilon=Fraction(b, a))
-    row = evaluate_point(config, (1, 1, 4))
-    assert row.lhs == 3
-    assert abs(row.ratio - 1.0) <= 1e-9
     assert row.exceptional == (3 ** a > 2 ** b)
     assert vojta_scan(config).rows == [row]
 
@@ -936,14 +925,6 @@ def test_evaluate_point_is_the_scans_row_on_and_off_the_grid():
         assert (row.lhs, row.rhs.hex(), row.ratio.hex(), row.exceptional) == (
             _direct_row(config, point)[:4]
         ), point
-
-
-# the candidates [x:x:x] with weighted GCD 1: x = 1 on the grid, the 20
-# squarefree x with 0 < |x| <= 14 at weights (1,1,2) in the box
-@pytest.mark.parametrize("config, skipped", [(sunit_preset_config(), 1), (tie_config(14), 20)])
-def test_skipped_count_is_the_candidates_without_a_row(config, skipped):
-    report = vojta_scan(config)
-    assert report.skipped_on_subscheme == report.total_candidates - len(report.rows) == skipped
 
 
 def test_scan_checks_no_walk_tuple(monkeypatch):
