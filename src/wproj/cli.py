@@ -57,13 +57,18 @@ def _formal(value: LogValue) -> list[list]:
     return [[p, _rat(c)] for p, c in value.coefficients()]
 
 
+def _int(text: str, message: str) -> int:
+    """int(text), or a ParseError with this message."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(message) from None
+
+
 def _parse_place(text: str) -> Place:
     if text in ("inf", "oo", "infinity"):
         return ARCHIMEDEAN
-    try:
-        p = int(text)
-    except ValueError:
-        raise ParseError(f"bad place {text!r}: expected a prime or 'inf'")
+    p = _int(text, f"bad place {text!r}: expected a prime or 'inf'")
     if p < 2 or not is_prime(p):
         raise ParseError(f"bad place {text!r}: {p} is not prime")
     return Place(p)
@@ -77,14 +82,12 @@ def _parse_generators(text: str, weights: Weights):
 
 
 def _parse_s_primes(text: str, flag: str = "--s-primes") -> frozenset[int]:
-    if not text.strip():
-        return frozenset()
     out = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        p = int(part)
+        p = _int(part, f"bad prime {part!r} in {flag}")
         if not is_prime(p):
             raise ParseError(f"{p} in {flag} is not prime")
         out.add(p)
@@ -98,26 +101,16 @@ def _parse_domain(text: str, n_coords: int):
             bounds = []
             for part in rest.split(","):
                 lo, _, hi = part.partition("..")
-                try:
-                    bounds.append((int(lo), int(hi)))
-                except ValueError:
-                    raise ParseError(f"bad box bound {part!r}")
+                message = f"bad box bound {part!r}"
+                bounds.append((_int(lo, message), _int(hi, message)))
             return BoxDomain(tuple(bounds))
-        try:
-            radius = int(rest)
-        except ValueError:
-            raise ParseError(f"bad box radius {rest!r}")
-        return BoxDomain.symmetric(radius, n_coords)
+        return BoxDomain.symmetric(_int(rest, f"bad box radius {rest!r}"), n_coords)
     if kind == "sunit":
         primes_text, _, max_text = rest.rpartition(":")
         if not primes_text:
             raise ParseError("sunit domain needs 'sunit:p1,p2,...:MAX'")
         primes = tuple(sorted(_parse_s_primes(primes_text, "--domain")))
-        try:
-            max_value = int(max_text)
-        except ValueError:
-            raise ParseError(f"bad sunit max {max_text!r}")
-        return SUnitGrid(primes, max_value)
+        return SUnitGrid(primes, _int(max_text, f"bad sunit max {max_text!r}"))
     raise ParseError(f"unknown domain {text!r}: use box:... or sunit:...")
 
 

@@ -14,7 +14,7 @@ enumeration order, no timestamps or randomness in the serialized
 output.
 
 The scan and the audit enumerate the tuples with weighted GCD 1 by one
-gcd-prefix walk (``primitive_tuples``) over per-coordinate values, which
+gcd-prefix walk (``prefix_blocks``) over per-coordinate values, which
 for a scan only ``ScanConfig.coordinate_values`` decides (0 left out).
 A prime p divides wgcd(x) exactly when p^(q_i) divides every nonzero
 x_i, so a gcd of tables of r_q(v) (``_radical``), carried down the
@@ -29,11 +29,11 @@ worker count.  A failing slice ends its process's share, and the merge
 raises the error of the earliest failing slice in enumeration order:
 the error that one worker would have raised first.
 
-Every row is made by one row loop, ``_scan_part``, with the config's
-constants bound once per call and each coordinate's terms read from a
-table built by ``ScanConfig.terms``.  The enumeration yields tuples of
-ints of the right length, not all zero, so the loop checks only that
-each generator value is an integer; a point from outside enters through
+Every row is made by one row loop, ``_scan_part``, which takes the
+candidates block by block and does the work that depends only on the
+leading coordinates once per block.  The candidates are tuples of ints
+of the right length, not all zero, so the loop checks only that each
+generator value is an integer; a point from outside enters through
 ``evaluate_point``, which makes the arity, all-zero and integrality
 checks and then runs the same loop on it alone, with its own terms.
 """
@@ -56,6 +56,7 @@ from .gcdops import Subscheme, _int_values, _integer_tuple, _wgcd_value, log_hwg
 from .points import WPoint, format_point, sign_canon, sign_canonical_blocks
 from .singular import is_singular
 from .weights import Weights
+from .wpoly import fix_prefix
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ class ScanConfig:
 
     @cached_property
     def coordinate_radicals(self) -> tuple[dict[int, int], ...]:
-        """Per coordinate i, v -> r_i(v) (see ``primitive_tuples``) for
+        """Per coordinate i, v -> r_i(v) (see ``prefix_blocks``) for
         each value v the domain gives it, computed once per value."""
         return tuple(
             {v: _radical(v, q) for v in values}
@@ -171,12 +172,12 @@ class ScanConfig:
 
 
 def _radical(v: int, q: int) -> int:
-    """r_q(v), the one table entry of ``primitive_tuples`` for the scan
+    """r_q(v), the one table entry of ``prefix_blocks`` for the scan
     and the audit: the product of the primes p with p^q | v, below
     _TRIAL_LIMIT, where factoring |v| takes trial division by at most 85
     numbers; |v| at 0, at q = 1 (it has the primes of r_1(v)) and from
     _TRIAL_LIMIT up.  There |v| is a multiple of r_q(v), which ``wgcd``
-    corrects at the leaves of ``primitive_tuples``: a table entry never
+    corrects at the leaves of ``prefix_blocks``: a table entry never
     costs a rho split, nor trial division up to 2^16 (milliseconds at
     |v| near 2^32, where the tuples' weighted GCDs cost microseconds)."""
     v = abs(v)
@@ -233,6 +234,8 @@ def s_units(primes: Sequence[int], max_value: int) -> list[int]:
 # A slice of the domain: the list of values of each coordinate, the
 # leading ones fixed to a single value.
 Part = tuple[Sequence[int], ...]
+# A block of candidates: (prefix, values), the points prefix + (v,).
+Block = tuple[tuple[int, ...], Sequence[int]]
 
 
 def parts(config: ScanConfig) -> list[Part]:
@@ -244,50 +247,56 @@ def parts(config: ScanConfig) -> list[Part]:
     return [(*values[:i], (v,), *values[i + 1:]) for v in values[i]]
 
 
-def primitive_tuples(
+def prefix_blocks(
     lists: Sequence[Sequence[int]], radicals: Sequence[dict[int, int]], w: Weights
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[Block]:
     """The tuples of ``itertools.product(*lists)`` that are not all zero
-    and have weighted GCD 1, in the same lexicographic order.
+    and have weighted GCD 1, in the same lexicographic order, in blocks.
 
     ``radicals[i][v]`` is r_i(v): 0 at v = 0, and otherwise a positive
     multiple of the product of the primes p with p^(q_i) | v.  A prime p
     divides wgcd(x) exactly when p^(q_i) | x_i for every nonzero x_i, so
     then p divides g = gcd_i r_i(x_i) (gcd(0, r) = r: a zero coordinate
     imposes nothing), and g = 1 proves wgcd(x) = 1.  The walk carries g
-    down the coordinates: once it is 1 the whole subtree is yielded as a
-    product with no check; at a leaf g = 0 is the all-zero tuple, and a
-    leaf with g > 1 is decided by ``wgcd``, so the answer stays exact for
-    any table that is a multiple of the exact one."""
+    down the coordinates: once it is 1 the subtree is kept with no check,
+    a block per tuple of its middle coordinates; at the last coordinate
+    g = 0 is the all-zero tuple, and a value with g > 1 is decided by
+    ``wgcd``, so the answer stays exact for any table that is a multiple
+    of the exact one.  A block with no value left is not yielded."""
     last = len(lists) - 1
 
-    def blocks(prefix: tuple[int, ...], g: int, i: int):
+    def blocks(prefix: tuple[int, ...], g: int, i: int) -> Iterator[Block]:
         values, radical = lists[i], radicals[i]
         if i == last:
-            leaves = []
-            for v in values:
-                h = math.gcd(g, radical[v])
-                if h == 1 or h and wgcd(prefix + (v,), w) == 1:
-                    leaves.append(prefix + (v,))
-            yield leaves
+            kept = [v for v in values if (h := math.gcd(g, radical[v])) == 1
+                    or h and wgcd(prefix + (v,), w) == 1]
+            if kept:
+                yield prefix, kept
             return
-        fixed = [(c,) for c in prefix]
-        rest = lists[i + 1:]
         for v in values:
             h = math.gcd(g, radical[v])
             if h == 1:
-                yield itertools.product(*fixed, (v,), *rest)
+                for middle in itertools.product(*lists[i + 1:last]):
+                    yield prefix + (v,) + middle, lists[last]
             else:
                 yield from blocks(prefix + (v,), h, i + 1)
 
-    return itertools.chain.from_iterable(blocks((), 0, 0))
+    return blocks((), 0, 0)
 
 
-def candidate_points(config: ScanConfig, part: Part) -> Iterator[tuple[int, ...]]:
-    """The slice's candidates in lexicographic order: its tuples with
-    weighted GCD 1.  An S-unit slice has x_0 = 1 and r(1) = 1, so the
-    walk yields it whole as one product and calls no ``wgcd``."""
-    return primitive_tuples(part, config.coordinate_radicals, config.weights)
+def primitive_tuples(lists: Sequence[Sequence[int]], radicals: Sequence[dict[int, int]],
+                     w: Weights) -> Iterator[tuple[int, ...]]:
+    """The tuples of ``prefix_blocks``, one by one."""
+    blocks = prefix_blocks(lists, radicals, w)
+    return itertools.chain.from_iterable(itertools.product(*zip(p), vs) for p, vs in blocks)
+
+
+def candidate_points(config: ScanConfig, part: Part) -> Iterator[Block]:
+    """The slice's candidates in lexicographic order, in the blocks of
+    ``prefix_blocks``: its tuples with weighted GCD 1.  An S-unit slice
+    has x_0 = 1 and r(1) = 1, so the walk keeps it whole, a block per
+    tuple of its middle coordinates, and calls no ``wgcd``."""
+    return prefix_blocks(part, config.coordinate_radicals, config.weights)
 
 
 def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow | None:
@@ -301,66 +310,75 @@ def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow
     x = tuple(_integer_tuple(point, config.weights))
     if 0 in x:
         raise ZeroInput(f"the prime-to-S part of 0 is undefined, at {format_point(x)}")
-    rows = _scan_part(config, _identity, (x,), config.terms([(v,) for v in x]))[-1]
+    rows = _scan_part(config, _identity, [(x[:-1], x[-1:])], config.terms([(v,) for v in x]))[-1]
     return rows[0] if rows else None
 
 
 def _scan_part(
-    config: ScanConfig, render: Renderer, points: Iterable[tuple[int, ...]],
+    config: ScanConfig, render: Renderer, blocks: Iterable[Block],
     tables: Sequence[dict[int, tuple[float, int]]],
 ) -> tuple[int, int, float, list]:
-    """(candidates, exceptional, max ratio, rendered rows) of the points.
+    """(candidates, exceptional, max ratio, rendered rows) of the blocks.
 
-    Each point is a tuple of ints of the right length, not all zero, as
-    ``candidate_points`` yields them; only the generator values are
-    checked (NonIntegralValue), and they stay ints up to lhs.  A point
-    where every generator vanishes is a candidate with no row.  The
-    coordinates' terms come from ``tables`` (``ScanConfig.terms``); the
-    prime-to-S part is multiplicative, so their product is
-    s_part(x_0 ... x_n, S).  The floats decide lhs > rhs unless lhs / rhs
-    is within ``arith._SIGN_MARGIN`` of 1, far above their rounding
-    error.  There the sign of log lhs - log rhs, a sum of three logs of
-    ints, is decided exactly by ``log_sum_sign``, with the max over the
+    The blocks are ``candidate_points``'s: their points are int tuples of
+    the right length, not all zero, and only the generator values are
+    checked (NonIntegralValue); they stay ints up to lhs.  A point where
+    every generator vanishes is a candidate with no row.  Per block, the
+    generators are fixed at the prefix (``wpoly.fix_prefix``) and the
+    prefix's max of log|x_i|/q_i and product of prime-to-S parts are read
+    from ``tables`` (``ScanConfig.terms``); the prime-to-S part is
+    multiplicative, so times the last coordinate's it is s_part(x_0 ...
+    x_n, S).  The floats decide lhs > rhs unless lhs / rhs is within
+    ``arith._SIGN_MARGIN`` of 1, far above their rounding error.  There
+    the sign of log lhs - log rhs, a sum of three logs of ints, is
+    decided exactly by ``log_sum_sign``, with the max over the
     coordinates picked on ints raised to no power above the weights."""
     forms = [g.integer_form for g in config.subscheme.generators]
     gcd_weights = config.subscheme.gcd_weights
     epsilon, s_exponent, margin = config.float_epsilon, config.rhs_exponent, _SIGN_MARGIN
     log, exp, prod = math.log, math.exp, math.prod
+    last_terms = tables[-1]
     total = exceptional_count = 0
     max_ratio = -math.inf
     rows = []
-    for point in points:
-        total += 1
-        values = _int_values(forms, point)
-        if not any(values):
-            continue
-        lhs = _wgcd_value(values, gcd_weights)  # ints, not all 0
-        logs, coord_parts = zip(*[table[v] for table, v in zip(tables, point)])
-        stripped = prod(coord_parts)
-        log_rhs = epsilon * max(logs) + log(stripped) * s_exponent
-        try:
-            rhs = exp(log_rhs)
-            ratio = lhs / rhs
-        except OverflowError:
-            raise FloatOverflow(
-                f"the row at {format_point(point)} leaves the float range "
-                f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
-            ) from None
-        if abs(ratio - 1.0) > margin:
-            exceptional = lhs > rhs
-        else:
-            q = config.weights.q
-            k = 0  # |x_k|^(1/q_k) is the max: compare |x_i|^(q_k) with |x_k|^(q_i)
-            for i in range(1, len(point)):
-                if abs(point[i]) ** q[k] > abs(point[k]) ** q[i]:
-                    k = i
-            s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
-            log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
-            exceptional = log_sum_sign(log_terms) > 0
-        exceptional_count += exceptional
-        if ratio > max_ratio:
-            max_ratio = ratio
-        rows.append(render(ScanRow(point, lhs, rhs, ratio, exceptional)))
+    for prefix, values in blocks:
+        total += len(values)
+        reduced = [fix_prefix(form, prefix) for form in forms]
+        head = [table[c] for table, c in zip(tables, prefix)]
+        head_max = max([lg for lg, _ in head], default=-math.inf)
+        head_part = prod([part for _, part in head])
+        for v in values:
+            point = prefix + (v,)
+            ints = _int_values(reduced, point)
+            if not any(ints):
+                continue
+            lhs = _wgcd_value(ints, gcd_weights)  # ints, not all 0
+            lg, part = last_terms[v]
+            stripped = head_part * part
+            log_rhs = epsilon * (lg if lg > head_max else head_max) + log(stripped) * s_exponent
+            try:
+                rhs = exp(log_rhs)
+                ratio = lhs / rhs
+            except OverflowError:
+                raise FloatOverflow(
+                    f"the row at {format_point(point)} leaves the float range "
+                    f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
+                ) from None
+            if abs(ratio - 1.0) > margin:
+                exceptional = lhs > rhs
+            else:
+                q = config.weights.q
+                k = 0  # |x_k|^(1/q_k) is the max: compare |x_i|^(q_k) with |x_k|^(q_i)
+                for i in range(1, len(point)):
+                    if abs(point[i]) ** q[k] > abs(point[k]) ** q[i]:
+                        k = i
+                s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
+                log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
+                exceptional = log_sum_sign(log_terms) > 0
+            exceptional_count += exceptional
+            if ratio > max_ratio:
+                max_ratio = ratio
+            rows.append(render(ScanRow(point, lhs, rhs, ratio, exceptional)))
     return total, exceptional_count, max_ratio, rows
 
 
@@ -370,8 +388,8 @@ def _scan_share(config: ScanConfig, render: Renderer, share: Iterable[Part]) -> 
     results = []
     for part in share:
         try:
-            points = candidate_points(config, part)  # looked up per call: a tracer may rebind it
-            results.append(_scan_part(config, render, points, config.coordinate_terms))
+            blocks = candidate_points(config, part)  # looked up per call: a tracer may rebind it
+            results.append(_scan_part(config, render, blocks, config.coordinate_terms))
         except Exception as exc:  # handed to the merge, which raises it in order
             results.append(exc)
             break

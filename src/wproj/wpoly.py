@@ -145,6 +145,18 @@ def scaled_value(terms: tuple[IntegerTerm, ...], xs: Sequence[RationalLike]) -> 
     return total
 
 
+def fix_prefix(form: IntegerForm, prefix: Sequence[int]) -> IntegerForm:
+    """f's integer form with all variables but the last, x_k, fixed to the
+    ints of prefix (k = len(prefix)): a form in x_k with one term per power
+    and none that cancels, whose ``scaled_value`` at prefix + (v,) is f's."""
+    d, terms = form
+    k, merged = len(prefix), {}
+    for a, powers in terms:
+        e = powers[-1][1] if powers and powers[-1][0] == k else 0  # (k, e) comes last
+        merged[e] = merged.get(e, 0) + scaled_value([(a, powers[:-1] if e else powers)], prefix)
+    return d, tuple((c, ((k, e),) if e else ()) for e, c in merged.items() if c)
+
+
 def evaluate(f: WPolynomial, xs: Sequence[RationalLike]) -> Fraction:
     """Exact value of f at a rational tuple."""
     if len(xs) != len(f.weights):

@@ -74,3 +74,8 @@ def sign_canonical_tuples(q, bound):
     """The tuples of ``sign_canonical_blocks``, in lexicographic order."""
     blocks = sign_canonical_blocks(q, bound)
     return itertools.chain.from_iterable(itertools.starmap(itertools.product, blocks))
+
+
+def block_points(blocks):
+    """The points of ``wproj.scan.candidate_points``'s blocks, in order."""
+    return [prefix + (v,) for prefix, values in blocks for v in values]

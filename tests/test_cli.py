@@ -422,6 +422,10 @@ def test_delta_below_the_float_range_fails_before_any_slice(monkeypatch, capsys,
     ((*SCAN_HEAD, "--domain", "sunit:2:100", "--s-primes", "4"), "4 in --s-primes is not prime"),
     (("sing1-audit", "--weights", "(2,3,5)", "--bound", "-1"),
      "the audit bound must be non-negative, got -1"),
+    # both once read "invalid literal for int() with base 10: 'abc'"
+    ((*SCAN_HEAD, "--domain", "sunit:2:100", "--s-primes", "abc"),
+     "bad prime 'abc' in --s-primes"),
+    ((*SCAN_HEAD, "--domain", "sunit:abc:100"), "bad prime 'abc' in --domain"),
 ])
 def test_input_records_name_the_bad_input(capsys, argv, message):
     # sunit:4:100 once named --s-primes; --bound -1 once gave an empty report

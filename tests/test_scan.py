@@ -4,17 +4,18 @@ import json
 import math
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import wproj.arith
 import wproj.gcdops
 import wproj.points
 import wproj.scan
-from wproj.arith import s_part
+from wproj.arith import _SIGN_MARGIN, log_sum_sign, s_part
 from wproj.cli import main
 from wproj.errors import (
     AllZero,
@@ -30,6 +31,7 @@ from wproj.gcdops import Subscheme, log_hwgcd, wgcd
 from wproj.scan import (
     BoxDomain,
     ScanConfig,
+    ScanRow,
     SUnitGrid,
     evaluate_point,
     primitive_tuples,
@@ -40,9 +42,9 @@ from wproj.scan import (
 from wproj.points import WPoint, normalize, sign_canon
 from wproj.singular import is_singular
 from wproj.weights import Weights
-from wproj.wpoly import evaluate, parse_polynomial
+from wproj.wpoly import WPolynomial, evaluate, parse_polynomial, scaled_value
 
-from helpers import sign_canonical_tuples
+from helpers import block_points, sign_canonical_tuples
 
 W111 = Weights.of(1, 1, 1)
 
@@ -191,7 +193,7 @@ def test_scan_workers_match_sequential(monkeypatch):
 def test_parts_concatenate_to_the_enumeration(config):
     # the slices, in order, are the lexicographic enumeration of the domain
     points = [p for part in wproj.scan.parts(config)
-              for p in wproj.scan.candidate_points(config, part)]
+              for p in block_points(wproj.scan.candidate_points(config, part))]
     if isinstance(config.domain, BoxDomain):
         box = itertools.product(*(range(lo, hi + 1) for lo, hi in config.domain.bounds))
         expected = [p for p in box if 0 not in p and wgcd(p, config.weights) == 1]
@@ -617,7 +619,7 @@ def test_walk_tables_factor_no_large_value(monkeypatch):
     radicals = config.coordinate_radicals
     assert calls == [] and radicals[2][lo + 7] == lo + 7
     points = [p for part in wproj.scan.parts(config)
-              for p in wproj.scan.candidate_points(config, part)]
+              for p in block_points(wproj.scan.candidate_points(config, part))]
     assert points == [(2, 2, v) for v in range(lo, lo + 401) if wgcd((2, 2, v), W112) == 1]
 
 
@@ -627,7 +629,7 @@ def test_walk_calls_wgcd_only_to_reject(monkeypatch):
     calls = _counting(monkeypatch, wproj.scan, "wgcd")
     config = tie_config(14)
     points = [p for part in wproj.scan.parts(config)
-              for p in wproj.scan.candidate_points(config, part)]
+              for p in block_points(wproj.scan.candidate_points(config, part))]
     box = itertools.product(*[[v for v in range(-14, 15) if v]] * 3)
     assert len(calls) == sum(wgcd(p, W112) > 1 for p in box) == 28 ** 3 - len(points)
     calls.clear()
@@ -968,3 +970,136 @@ def test_evaluate_point_checks_a_point_from_outside():
     row = evaluate_point(config, (Fraction(2), Fraction(4), Fraction(6)))
     assert row == evaluate_point(config, (2, 4, 6))
     assert [type(v) for v in row.point] == [int] * 3 and type(row.point) is tuple
+
+
+def test_scan_fixes_the_generators_once_per_block(monkeypatch):
+    # the benchmark's seed-0 sunit-preset and box-scan configurations: the
+    # generators are fixed at a block's prefix once per block, not per row
+    fixed = _counting(monkeypatch, wproj.scan, "fix_prefix")
+    report = vojta_scan(sunit_preset_config())
+    assert len(report.rows) == 20_163
+    assert len(fixed) == 142 * 2
+    fixed.clear()
+    report = vojta_scan(tie_config(14))
+    assert len(fixed) == 784 * 2
+    assert 784 < len(report.rows) == 20_628
+
+
+@st.composite
+def block_scan_configs(draw):
+    n = draw(st.integers(1, 4))
+    q = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    w = draw(q.map(lambda q: Weights(tuple(q))).filter(Weights.is_well_formed))
+    coefficient = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                            st.sampled_from([1, 1, 1, 1, 2, 3]))
+    terms = st.lists(st.tuples(coefficient, st.tuples(*[st.integers(0, 3)] * n)),
+                     min_size=1, max_size=4)
+    form = terms.map(lambda t: WPolynomial.from_terms(t, w)).filter(lambda f: not f.is_zero())
+    # forms without the last coordinate: constant on a block, and 0 on
+    # the blocks with x0 = 1 (every S-unit block) or x0 = x1
+    special = ["x0^2-x0", "x1-x0"][:n - 1]
+    if special:
+        form = st.one_of(form, st.sampled_from(special).map(lambda t: parse_polynomial(t, w)))
+    forms = draw(st.lists(form, min_size=1, max_size=3))
+    r = len(forms)
+    if draw(st.booleans()):
+        width = 4 if n == 4 else 6
+        bounds = st.tuples(st.integers(-6, 6), st.integers(0, width))
+        domain = BoxDomain(tuple((lo, lo + d) for lo, d in draw(st.tuples(*[bounds] * n))))
+    else:
+        primes = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2, unique=True))
+        domain = SUnitGrid(tuple(sorted(primes)), draw(st.integers(1, 30 if n < 4 else 12)))
+    return ScanConfig(
+        weights=w,
+        subscheme=Subscheme(tuple(forms), Weights(tuple(draw(st.lists(
+            st.integers(1, 3), min_size=r, max_size=r))))),
+        epsilon=draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)])),
+        delta=draw(st.sampled_from([Fraction(1, 2), Fraction(1)] + [Fraction(0)] * (r > 1))),
+        s_primes=frozenset(draw(st.lists(st.sampled_from([2, 3, 5]), max_size=2))),
+        domain=domain,
+    )
+
+
+def _box_config(q, generators, gcd_weights, bounds):
+    w = Weights(q)
+    forms = tuple(parse_polynomial(f, w) for f in generators)
+    return make_config(weights=w, subscheme=Subscheme(forms, Weights(gcd_weights)),
+                       s_primes=frozenset({2}), domain=BoxDomain(bounds))
+
+
+def _reference_rows(config):
+    """The scan of config point by point, on the whole tuple: each
+    generator's ``scaled_value``, ``wgcd``, ``math.log`` of every
+    coordinate and ``s_part`` of their product.  Returns the rows, the
+    points evaluated and the NonIntegralValue message of the last one, or
+    None."""
+    w, y = config.weights, config.subscheme
+    rows, points = [], []
+    for point in itertools.product(*config.coordinate_values):
+        if wgcd(point, w) != 1:
+            continue
+        points.append(point)
+        values = []
+        for d, terms in (g.integer_form for g in y.generators):
+            value = scaled_value(terms, point)
+            if value % d:
+                return rows, points, f"{Fraction(value, d)} is not an integer"
+            values.append(value // d)
+        if not any(values):
+            continue
+        lhs = wgcd(values, y.gcd_weights)
+        logs = [math.log(abs(x)) / qi for x, qi in zip(point, w.q)]
+        stripped = s_part(math.prod(point), config.s_primes)
+        rhs = math.exp(config.float_epsilon * max(logs) + math.log(stripped) * config.rhs_exponent)
+        ratio = lhs / rhs
+        exceptional = lhs > rhs
+        if abs(ratio - 1.0) <= _SIGN_MARGIN:
+            top = math.lcm(*w.q)  # |x_k|^(1/q_k) is the max of the |x_i|^(top/q_i)
+            k = max(range(len(point)), key=lambda i: abs(point[i]) ** (top // w.q[i]))
+            s_exp = Fraction(1, w.qprod) / (config.r - 1 + config.delta)
+            exceptional = log_sum_sign([(lhs, 1), (abs(point[k]), -config.epsilon / w.q[k]),
+                                        (stripped, -s_exp)]) > 0
+        rows.append(ScanRow(point, lhs, rhs, ratio, exceptional))
+    return rows, points, None
+
+
+def _row_key(row):
+    return row.point, row.lhs, row.rhs.hex(), row.ratio.hex(), row.exceptional
+
+
+# a leaf block: at (4, 8), r_2(4) = r_3(8) = 2, so the odd x2 pass wgcd
+@example(_box_config((2, 3, 1), ("x2^2-x0*x2", "x1-x0"), (1, 1), ((3, 4), (8, 8), (-4, 4))))
+# the first non-integral value is at (-2, -1, -2), in the first block
+@example(_box_config((1, 1, 1), ("1/2*x1-x0", "x2-x0"), (1, 1), ((-2, 2),) * 3))
+@given(block_scan_configs())
+def test_block_rows_are_the_per_point_rows(config):
+    real = wproj.scan._int_values
+    evaluated, made, totals = [], [], []
+
+    def spy(forms, point):
+        evaluated.append(point)
+        return real(forms, point)
+
+    def render(row):
+        made.append(row)
+        return row
+
+    error = None
+    with mock.patch.object(wproj.scan, "_int_values", spy):
+        try:
+            for part in wproj.scan.parts(config):
+                blocks = wproj.scan.candidate_points(config, part)
+                totals.append(wproj.scan._scan_part(config, render, blocks,
+                                                    config.coordinate_terms))
+        except NonIntegralValue as exc:
+            error = str(exc)
+    rows, points, expected_error = _reference_rows(config)
+    assert evaluated == points
+    assert error == expected_error
+    assert [_row_key(row) for row in made] == [_row_key(row) for row in rows]
+    if error is None:
+        assert [row for *_, part_rows in totals for row in part_rows] == made
+        assert sum(t[0] for t in totals) == len(points)
+        assert sum(t[1] for t in totals) == sum(row.exceptional for row in rows)
+        if rows:
+            assert max(t[2] for t in totals).hex() == max(row.ratio for row in rows).hex()

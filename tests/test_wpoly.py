@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wproj.errors import (
     ArityMismatch,
@@ -18,7 +20,9 @@ from wproj.wpoly import (
     WPolynomial,
     dehomogenize_binary,
     evaluate,
+    fix_prefix,
     parse_polynomial,
+    scaled_value,
     to_string,
     weighted_degree,
 )
@@ -203,3 +207,44 @@ def test_polynomial_algebra():
     zero = x0 - x0
     assert zero.is_zero()
     assert to_string(zero) == "0"
+
+
+@st.composite
+def polynomials_and_points(draw):
+    n = draw(st.integers(1, 4))
+    w = Weights(tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))))
+    coefficient = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3]))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.lists(st.tuples(coefficient, exponents), min_size=1, max_size=5))
+    point = draw(st.tuples(*[st.integers(-6, 6)] * n))
+    return WPolynomial.from_terms(terms, w), point
+
+
+@given(polynomials_and_points())
+def test_fix_prefix_is_evaluate_at_the_last_coordinate(inputs):
+    f, point = inputs
+    d, terms = fix_prefix(f.integer_form, point[:-1])
+    assert d == f.integer_form[0]
+    assert Fraction(scaled_value(terms, point), d) == evaluate(f, point)
+    # a form in the last variable alone: one term per power, none zero
+    k = len(point) - 1
+    assert all(a and all(i == k for i, _ in powers) for a, powers in terms)
+    assert len({powers for _, powers in terms}) == len(terms)
+
+
+def test_fix_prefix_merges_and_drops_terms():
+    w = Weights.of(1, 1, 1)
+    f = parse_polynomial("x1-x0", w)  # no x2: constant on a block, 0 where x0 = x1
+    assert fix_prefix(f.integer_form, (3, 5)) == (1, ((2, ()),))
+    assert fix_prefix(f.integer_form, (4, 4)) == (1, ())
+    g = parse_polynomial("1/2*x0*x2^2 + x1*x2^2 - x2 + 3*x0", w)  # D = 2
+
+    def by_power(form):
+        d, terms = form
+        return d, {powers: a for a, powers in terms}
+
+    # the x2^2 terms cancel at x0 = 2, x1 = -1
+    assert by_power(fix_prefix(g.integer_form, (2, -1))) == (2, {((2, 1),): -2, (): 12})
+    assert by_power(fix_prefix(g.integer_form, (2, 1))) == (
+        2, {((2, 2),): 4, ((2, 1),): -2, (): 12}
+    )
