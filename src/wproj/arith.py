@@ -2,10 +2,10 @@
 
 Places of Q, primality (BPSW), integer factorization (Pollard rho
 within a fixed budget) and n-th roots, all on the standard library;
-p-adic valuations and their non-negative parts, prime-to-S parts, and
-exact formal sums of ``c * log p`` terms.  Finite-place data stays in
-integers (valuation multiplicities); floating point appears only when a
-formal sum is collapsed to a real number.
+p-adic valuations and their non-negative parts, the heights' max term
+(``max_term``), prime-to-S parts, exact formal sums of ``c * log p``
+terms.  Finite-place data stays in integers (valuation multiplicities);
+floats appear only when a formal sum is collapsed to a real number.
 
 Every comparison follows one rule: floats decide outside a proven
 margin, and exact work decides inside it under a budget, past which a
@@ -302,6 +302,25 @@ def val(r: RationalLike, p: int) -> int:
     if r == 0:
         raise ZeroInput("val(0, p) is +infinity; callers must branch")
     return ord_int(r.numerator, p) - ord_int(r.denominator, p)
+
+
+def max_term(
+    coords: Sequence[RationalLike], exps: Sequence[RationalLike], place: Place
+) -> tuple[int, Fraction]:
+    """(k, |x_k|_v) for the first k where |x_k|_v^{e_k} is the max over the
+    nonzero coordinates (one at least), for positive rational exponents.
+    |x_i|_v^{e_i} > |x_k|_v^{e_k} is decided exactly as |x_i|_v^a > |x_k|_v^b,
+    a/b = e_i/e_k in lowest terms, so no power exceeds the exponents' ratio;
+    at a prime p it compares the exponents of |x|_p = p^(-ord_p x)."""
+    k = size = None
+    for i, (c, e) in enumerate(zip(coords, exps)):
+        if c == 0:
+            continue
+        s = abs(as_fraction(c)) if place.is_archimedean else -val(c, place.prime)
+        a, b = (1, 1) if k is None else (as_fraction(e) / exps[k]).as_integer_ratio()
+        if k is None or (s ** a > size ** b if place.is_archimedean else a * s > b * size):
+            k, size = i, s
+    return k, size if place.is_archimedean else Fraction(place.prime) ** size
 
 
 def val_plus(r: RationalLike, place: Place) -> int | float:

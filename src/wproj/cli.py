@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import ARCHIMEDEAN, LogValue, Place, is_prime, parse_rational
-from .errors import MixedDegree, ParseError, WProjError
+from .errors import ArityMismatch, MixedDegree, OutputTooLarge, ParseError, WProjError
 from .gcdops import Subscheme, hwgcd, log_hwgcd, log_wgcd, wgcd
 from .heights import wheight
 from .localheights import (
@@ -45,8 +45,22 @@ from .weights import Weights, parse_weights, reduce, veronese_data
 from .wpoly import parse_polynomial
 
 
+def _text(value, show=str) -> str:
+    """show(value) for an exact output.  Past Python's int-to-str limit
+    (``sys.get_int_max_str_digits``, which bounds the quadratic
+    conversion) that is a ValueError, read as a parse error by ``main``
+    though the input parsed; it is an OutputTooLarge here instead."""
+    try:
+        return show(value)
+    except ValueError:
+        raise OutputTooLarge(
+            f"an exact output has more than {sys.get_int_max_str_digits()} digits, "
+            "the int-to-str conversion limit (sys.get_int_max_str_digits)"
+        ) from None
+
+
 def _rat(value) -> str:
-    return str(Fraction(value))
+    return _text(Fraction(value))
 
 
 def _real(value: float) -> float:
@@ -170,7 +184,7 @@ def cmd_hwgcd(args) -> int:
 def cmd_normalize(args) -> int:
     w = parse_weights(args.weights)
     point, lam, g = normalization(parse_point(args.point, w))
-    record = {"point": str(point), "wgcd": _rat(g)}
+    record = {"point": _text(point), "wgcd": _rat(g)}
     if lam != 1:
         record["denominator_scale"] = _rat(lam)
     _emit(record)
@@ -182,6 +196,9 @@ _SYMBOLIC_POINT = re.compile(r"\s*\[\s*x\d+(?:\s*:\s*x\d+)*\s*\]\s*")
 
 def cmd_veronese(args) -> int:
     w = parse_weights(args.weights)
+    symbolic = _SYMBOLIC_POINT.fullmatch(args.point)  # gets the map data only
+    if symbolic and (n := args.point.count(":") + 1) != len(w):
+        raise ArityMismatch(f"{n} coordinates for {len(w)} weights")
     reduction = reduce(w)
     data = veronese_data(w)
     record = {
@@ -192,8 +209,8 @@ def cmd_veronese(args) -> int:
         "exponents": list(data.exps),
         "is_embedding": data.is_embedding,
     }
-    if not _SYMBOLIC_POINT.fullmatch(args.point):  # a symbolic point gets the map data only
-        record["image"] = format_point(veronese(parse_point(args.point, w)))
+    if not symbolic:
+        record["image"] = _text(veronese(parse_point(args.point, w)), format_point)
     _emit(record)
     return 0
 

@@ -102,3 +102,7 @@ class FactoringBudgetExceeded(WProjError):
 
 class ComparisonBudgetExceeded(WProjError):
     code = "comparison-budget"
+
+
+class OutputTooLarge(WProjError):
+    code = "output-too-large"

@@ -19,12 +19,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .arith import (
+    ARCHIMEDEAN,
     LogValue,
     Place,
     RationalLike,
     as_fraction,
     factorize,
     floor_log,
+    max_term,
     ord_int,
 )
 from .errors import (
@@ -183,17 +185,13 @@ def log_hwgcd(
     The finite part is sum_p min_i(floor(nu_p+(x_i)/q_i)) * log p.  With
     ``include_archimedean`` the term min_i(nu_oo+(x_i)/q_i) is added
     WITHOUT the floor; nu_oo+(x) = max(-log|x|, 0) decomposes exactly
-    into prime logs, and the min is selected by exact comparison.
+    into prime logs, and the min is at the k where |x_k|^{1/q_k} is max.
     """
     vals = _normalize_tuple(xs, w)
     total = LogValue(_wgcd_exponents([v.numerator for v in vals], w))
     if include_archimedean:
-        candidates = [
-            Fraction(1, q) * LogValue.of_rational(max(Fraction(1, 1) / abs(v), 1))
-            for v, q in zip(vals, w.q)
-            if v != 0
-        ]
-        total = total + min(candidates)
+        k, size = max_term(vals, [Fraction(1, q) for q in w.q], ARCHIMEDEAN)
+        total = total + Fraction(1, w.q[k]) * LogValue.of_rational(max(1 / size, 1))
     return total
 
 
@@ -201,12 +199,12 @@ def t_nu(x: "WPoint", place: Place) -> int:
     """min_i floor(nu+(x_i)/q_i) at one place; zero coordinates absorb
     to +infinity.  At a prime p, nu_p+ of a reduced fraction is ord_p of
     its numerator, so this is the exponent of p in the weighted GCD of
-    the numerators.  At the archimedean place each floor is exact."""
+    the numerators.  At oo it is one exact floor, where |x_k|^{1/q_k} is max."""
     if place.is_finite:
         p = place.prime
         return _wgcd_exponents([c.numerator for c in x.coords], x.weights, [p]).get(p, 0)
-    pairs = zip(x.coords, x.weights.q)
-    return min(floor_log(max(1 / abs(c), Fraction(1)), q) for c, q in pairs if c != 0)
+    k, size = max_term(x.coords, [Fraction(1, q) for q in x.weights.q], ARCHIMEDEAN)
+    return floor_log(max(1 / size, Fraction(1)), x.weights.q[k])
 
 
 def hwgcd_subscheme(x: "WPoint", y: Subscheme) -> LogValue:

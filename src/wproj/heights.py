@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Place, RationalLike, log_of_fraction, relevant_places, val
-from .errors import AllZero, HypothesisViolated
+from .arith import Place, RationalLike, log_of_fraction, max_term, relevant_places
+from .errors import HypothesisViolated
 from .points import WPoint, reduce_projective, veronese
 from .weights import veronese_data
 
@@ -40,29 +40,15 @@ def weil_height(coords: Sequence[RationalLike]) -> tuple[int, float]:
     return h_mult, log_of_fraction(Fraction(h_mult))
 
 
-def max_term_exponent(coords: Sequence[Fraction], exps: Sequence[int], p: int) -> int:
-    """The k with max_i |x_i|_p^{e_i} = p^k; zero coordinates are skipped."""
-    return max(-e * val(c, p) for c, e in zip(coords, exps) if c != 0)
-
-
-def max_term(coords: Sequence[Fraction], exps: Sequence[int], place: Place) -> Fraction:
-    """max_i |x_i|_v^{e_i} at one place, as an exact rational."""
-    if place.is_archimedean:
-        return max(abs(c) ** e for c, e in zip(coords, exps))
-    return Fraction(place.prime) ** max_term_exponent(coords, exps, place.prime)
-
-
 def wheight(x: WPoint) -> HeightValue:
     """Exact weighted height of a point, as wh^m plus its log."""
-    nonzero = [c for c in x.coords if c != 0]
-    if not nonzero:
-        raise AllZero("height of the zero tuple is undefined")
     m = x.weights.m
     exps = tuple(m // q for q in x.weights.q)
     per_place = []
     product = Fraction(1)
-    for place in relevant_places(nonzero):
-        factor = max_term(x.coords, exps, place)
+    for place in relevant_places([c for c in x.coords if c != 0]):
+        k, size = max_term(x.coords, exps, place)
+        factor = size ** exps[k]
         per_place.append((place, factor))
         product *= factor
     return HeightValue(

@@ -11,8 +11,8 @@ exponents are e_i = q_i ("paper" mode, the printed metric) or
 e_i = m/q_i ("alt" mode, the variant whose denominator is weighted
 homogeneous of degree m).  A principal divisor div(f), a hyperplane
 section included, is the one-generator case V(f), so one body serves
-every divisor.  Both maxima come from the max-term routine that the
-weighted height uses.  Values are exact LogValue sums; global heights
+every divisor.  Each log max is e_k log|x_k|_v, k from ``arith.max_term``
+as in the weighted height.  Values are exact LogValue sums; global heights
 sum over the finitely many places that can contribute.
 """
 
@@ -21,10 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import LogValue, Place, relevant_places
+from .arith import LogValue, Place, max_term, relevant_places, val
 from .errors import MixedDegree, PointOnSubscheme
 from .gcdops import Subscheme
-from .heights import max_term, max_term_exponent, wheight
+from .heights import wheight
 from .points import WPoint
 from .weights import Weights
 from .wpoly import WPolynomial, evaluate
@@ -41,13 +41,12 @@ def _denominator_exponents(w: Weights, mode: Mode) -> tuple[int, ...]:
     return w.q if mode == "paper" else tuple(w.m // q for q in w.q)
 
 
-def _log_max_term(
-    coords: Sequence[Fraction], exps: Sequence[int], place: Place
-) -> LogValue:
-    """Exact log of max_i |x_i|_v^{e_i} at one place."""
-    if place.is_archimedean:
-        return LogValue.of_rational(max_term(coords, exps, place))
-    return LogValue.of_prime(place.prime, max_term_exponent(coords, exps, place.prime))
+def _log_max_term(coords: Sequence[Fraction], exps: Sequence[int], place: Place) -> LogValue:
+    """Exact log of max_i |x_i|_v^{e_i} at one place: e_k log|x_k|_v."""
+    k, size = max_term(coords, exps, place)
+    if place.is_finite:
+        return LogValue.of_prime(place.prime, exps[k] * val(size, place.prime))
+    return exps[k] * LogValue.of_rational(size)
 
 
 def denominator_log(x: WPoint, place: Place, mode: Mode) -> LogValue:

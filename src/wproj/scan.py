@@ -48,7 +48,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .arith import _SIGN_MARGIN, _TRIAL_LIMIT, RationalLike, log_sum_sign, s_part
+from .arith import (_SIGN_MARGIN, _TRIAL_LIMIT, ARCHIMEDEAN, RationalLike, log_sum_sign,
+                    max_term, s_part)
 from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights, ZeroInput
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, _int_values, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
@@ -331,8 +332,8 @@ def _scan_part(
     x_n, S).  The floats decide lhs > rhs unless lhs / rhs is within
     ``arith._SIGN_MARGIN`` of 1, far above their rounding error.  There
     the sign of log lhs - log rhs, a sum of three logs of ints, is
-    decided exactly by ``log_sum_sign``, with the max over the
-    coordinates picked on ints raised to no power above the weights."""
+    decided exactly by ``log_sum_sign``, at the first coordinate k
+    where |x_k|^(1/q_k) is the max (``arith.max_term``)."""
     forms = [g.integer_form for g in config.subscheme.generators]
     gcd_weights = config.subscheme.gcd_weights
     epsilon, s_exponent, margin = config.float_epsilon, config.rhs_exponent, _SIGN_MARGIN
@@ -368,10 +369,7 @@ def _scan_part(
                 exceptional = lhs > rhs
             else:
                 q = config.weights.q
-                k = 0  # |x_k|^(1/q_k) is the max: compare |x_i|^(q_k) with |x_k|^(q_i)
-                for i in range(1, len(point)):
-                    if abs(point[i]) ** q[k] > abs(point[k]) ** q[i]:
-                        k = i
+                k, _ = max_term(point, [Fraction(1, v) for v in q], ARCHIMEDEAN)
                 s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
                 log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
                 exceptional = log_sum_sign(log_terms) > 0

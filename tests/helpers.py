@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from wproj.points import WPoint, sign_canonical_blocks
 from wproj.weights import Weights
 from wproj.wpoly import WPolynomial
@@ -79,3 +81,16 @@ def sign_canonical_tuples(q, bound):
 def block_points(blocks):
     """The points of ``wproj.scan.candidate_points``'s blocks, in order."""
     return [prefix + (v,) for prefix, values in blocks for v in values]
+
+
+def tie_prone_tuples(max_len=4, max_weight=5):
+    """A hypothesis strategy of (coords, weights): rationals, not all zero,
+    drawn often from small powers of 2 and 3, so that |x_i|^{e_i} ties."""
+    entry = st.one_of(
+        st.sampled_from([0, 1, -2, 4, -8, Fraction(1, 2), Fraction(-1, 4), 3, 9, Fraction(2, 3)]),
+        st.fractions(-60, 60, max_denominator=60),
+    )
+    return st.integers(1, max_len).flatmap(lambda n: st.tuples(
+        st.lists(entry, min_size=n, max_size=n).filter(any),
+        st.lists(st.integers(1, max_weight), min_size=n, max_size=n).map(tuple),
+    ))

@@ -4,7 +4,9 @@ These deliberately avoid the library's valuation machinery: the wgcd
 oracle tests candidate divisors g directly by divisibility of g^{q_i},
 the factorization oracle is plain trial division to sqrt(n), and the
 local height oracle evaluates generators from their terms and takes
-p-adic orders by repeated division.
+p-adic orders by repeated division.  One reference is not independent:
+``archimedean_log_hwgcd`` keeps the library's former min over one
+LogValue per coordinate.
 """
 
 from __future__ import annotations
@@ -209,3 +211,33 @@ def exp_digits(m: int, digits: int) -> int:
 def rational_abs_log(r) -> float:
     r = Fraction(r)
     return math.log(abs(r.numerator)) - math.log(r.denominator)
+
+
+def max_term(coords, exps, prime=None) -> tuple[int, Fraction]:
+    """(k, |x_k|_v) for the first k where |x_k|_v^{e_k} is the max over the
+    nonzero coordinates, v the place of ``prime`` (oo for None): each
+    |x_i|_v^{e_i * L}, L the lcm of the exponents' denominators, is an
+    exact rational, and |x|_p comes from p-adic orders by repeated division."""
+    L = math.lcm(*(Fraction(e).denominator for e in exps))
+    sizes = {
+        i: abs(Fraction(c)) if prime is None else Fraction(prime) ** -_ord(Fraction(c), prime)
+        for i, c in enumerate(coords)
+        if c != 0
+    }
+    powers = {i: s ** int(Fraction(exps[i]) * L) for i, s in sizes.items()}
+    k = min(i for i, v in powers.items() if v == max(powers.values()))
+    return k, sizes[k]
+
+
+def archimedean_log_hwgcd(xs, q):
+    """min_i nu_oo+(x_i)/q_i over the nonzero x_i, as the library once took
+    it: one LogValue per coordinate and their min, by exact comparison.
+    This is the reference for the single-coordinate form, not independent
+    of LogValue."""
+    from wproj.arith import LogValue
+
+    return min(
+        Fraction(1, qi) * LogValue.of_rational(max(1 / abs(Fraction(x)), Fraction(1)))
+        for x, qi in zip(xs, q)
+        if x != 0
+    )

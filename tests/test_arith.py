@@ -22,6 +22,7 @@ from wproj.arith import (
     integer_nthroot,
     is_prime,
     log_sum_sign,
+    max_term,
     ord_int,
     relevant_places,
     s_part,
@@ -30,6 +31,8 @@ from wproj.arith import (
 )
 from wproj.errors import ComparisonBudgetExceeded, FactoringBudgetExceeded, ZeroInput
 
+import oracles
+from helpers import tie_prone_tuples
 from oracles import trial_division
 
 nonzero_rationals = st.fractions(
@@ -414,3 +417,37 @@ def test_log_sum_sign_of_an_exact_tie_is_zero_without_powering():
         log_sum_sign([(0, 1), (2, 1)])  # log 0 has no coefficient over any base
     with pytest.raises(ComparisonBudgetExceeded):
         log_sum_sign([(3, 1), (2, Fraction(-16785921, 10590737))])
+
+
+@given(
+    tie_prone_tuples(),
+    st.sampled_from(["q", "m/q", "1/q", "1"]),
+    st.sampled_from([None, 2, 3, 5]),
+)
+def test_max_term_matches_the_brute_force_oracle(coords_weights, kind, prime):
+    coords, q = coords_weights
+    m = math.lcm(*q)
+    exps = {
+        "q": q,
+        "m/q": [m // v for v in q],
+        "1/q": [Fraction(1, v) for v in q],
+        "1": [1] * len(q),
+    }[kind]
+    place = ARCHIMEDEAN if prime is None else Place(prime)
+    assert max_term(coords, exps, place) == oracles.max_term(coords, exps, prime)
+
+
+def test_max_term_takes_the_first_index_of_a_tie():
+    # |-2|^2 = |4|^1 = |2|^2 at oo; |1/2|_2^2 = |1/4|_2 at 2; zeros are skipped
+    assert max_term((0, -2, 4, 2), (1, 2, 1, 2), ARCHIMEDEAN) == (1, 2)
+    assert max_term((Fraction(1, 2), Fraction(1, 4)), (2, 1), Place(2)) == (0, 2)
+    assert max_term((3, 9), (Fraction(1, 2), Fraction(1, 4)), ARCHIMEDEAN) == (0, 3)
+
+
+def test_max_term_raises_no_power_above_the_exponents_ratio():
+    # raising every coordinate to its own exponent, (2/3)^7154819 among
+    # them, took about 3 s; the ratios ask for at most 3^1013 and 5^1009
+    start = time.perf_counter()
+    exps = (7 * 1009 * 1013, 1013, 1009)
+    assert max_term((Fraction(2, 3), 3, 5), exps, ARCHIMEDEAN) == (2, 5)
+    assert time.perf_counter() - start < 0.1

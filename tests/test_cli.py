@@ -98,6 +98,35 @@ def test_veronese_rejects_a_malformed_numeric_point(capsys, point, message):
     )
 
 
+def test_veronese_rejects_a_symbolic_point_of_the_wrong_arity(capsys):
+    # once exit 0 with the map data of the weights
+    assert run_cli(capsys, "veronese", "[x0:x1]", "--weights", "(2,3,5)") == (
+        3, "", json.dumps({"error": "arity-mismatch", "message": "2 coordinates for 3 weights"})
+        + "\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("height", "[2:3:5]", "--weights", "(1,1009,1013)"),  # wh^m = 2^1022117
+    ("veronese", "[2:3:5]", "--weights", "(1,1009,1013)"),  # [2^1022117:3^1013:5^1009]
+    ("normalize", "[1/3:1]", "--weights", "(1,10000)"),  # [1:3^10000]
+])
+def test_an_output_past_the_int_to_str_limit_is_a_typed_error(capsys, argv):
+    # once a parse-error, though the input parsed
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    record = json.loads(err)
+    assert record["error"] == "output-too-large"
+    assert "4300 digits" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["height", "veronese"])
+def test_an_input_past_the_int_to_str_limit_stays_a_parse_error(capsys, command):
+    code, out, err = run_cli(capsys, command, f"[{'1' * 4400}:1]", "--weights", "(1,1)")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "parse-error"
+
+
 def test_singular_command(capsys):
     record = run_json(capsys, "singular", "[0:1:0:0]", "--weights", "(1,2,3,5)")
     assert record["singular"] is True
@@ -443,6 +472,19 @@ def _timed_scan(capsys, *argv):
     start = time.perf_counter()
     result = run_cli(capsys, "vojta-scan", *argv, "--format", "csv")
     return result, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv, formal", [
+    (("zeta", "[2:3:5]", "--place", "inf"), [[2, "1022116/1022117"]]),
+    (("global-height", "[2:3:5]"), [[2, "1"]]),
+])
+def test_alt_heights_at_large_weights_factor_no_power(capsys, argv, formal):
+    # the denominator 2^1022117 was factored by trial division: over 120 s
+    start = time.perf_counter()
+    record = run_json(capsys, *argv, "--weights", "(1,1009,1013)", "--divisor", "x0",
+                      "--metric", "alt")
+    assert time.perf_counter() - start < 0.5
+    assert record["formal"] == formal
 
 
 def test_exact_tie_is_decided_without_powering(capsys):

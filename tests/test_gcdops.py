@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from wproj import arith
 from wproj.arith import ARCHIMEDEAN, LogValue, Place
@@ -29,7 +30,14 @@ from wproj.points import WPoint, normalize, scale
 from wproj.weights import Weights
 from wproj.wpoly import parse_polynomial
 
-from oracles import brute_wgcd, exp_digits, floor_log, nu_plus_wgcd_exponents
+from helpers import tie_prone_tuples
+from oracles import (
+    archimedean_log_hwgcd,
+    brute_wgcd,
+    exp_digits,
+    floor_log,
+    nu_plus_wgcd_exponents,
+)
 
 W23 = Weights.of(2, 3)
 W11 = Weights.of(1, 1)
@@ -172,12 +180,23 @@ def test_t_nu_archimedean_matches_the_series_oracle():
 
 def test_t_nu_archimedean_past_the_digit_budget_raises(monkeypatch):
     # within 10^-79 of e, with a 64-digit budget: neither 32 nor 64 digits settle it
+    # the floor of 1/r is decided only where coordinate 0 is the max term
     monkeypatch.setattr(arith, "_EXP_DIGITS", 64)
     r = Fraction(exp_digits(1, 80), 10 ** 80)
     with pytest.raises(ComparisonBudgetExceeded):
-        t_nu(WPoint.of((1 / r, 1), W11), ARCHIMEDEAN)
-    monkeypatch.setattr(arith, "_EXP_DIGITS", 128)
+        t_nu(WPoint.of((1 / r, 0), W11), ARCHIMEDEAN)
+    # at (1/r, 1) the max term is |1|, so the min is 0 with no floor of r decided
     assert t_nu(WPoint.of((1 / r, 1), W11), ARCHIMEDEAN) == 0
+    monkeypatch.setattr(arith, "_EXP_DIGITS", 128)
+    assert t_nu(WPoint.of((1 / r, 0), W11), ARCHIMEDEAN) == 0
+
+
+@given(tie_prone_tuples())
+def test_log_hwgcd_archimedean_term_is_the_min_over_coordinates(coords_weights):
+    coords, q = coords_weights
+    w = Weights(q)
+    with_oo = log_hwgcd(coords, w, include_archimedean=True)
+    assert with_oo == log_hwgcd(coords, w) + archimedean_log_hwgcd(coords, q)
 
 
 def test_log_hwgcd_matches_t_nu_sum():
