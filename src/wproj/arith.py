@@ -13,8 +13,8 @@ typed error (``ComparisonBudgetExceeded``) is raised instead of running
 on.  ``LogValue._sign`` compares integer products of at most
 _SIGN_BUDGET bits, ``floor_log`` compares decimals of at most
 _EXP_DIGITS digits, and ``log_sum_sign`` (the Vojta scan's verdict near
-a tie) rewrites a sum of logs over a coprime base and hands it to
-``LogValue._sign``.
+a tie, and ``max_term``'s at oo) rewrites a sum of logs over a coprime
+base and hands it to ``LogValue._sign``.
 """
 
 from __future__ import annotations
@@ -308,19 +308,32 @@ def max_term(
     coords: Sequence[RationalLike], exps: Sequence[RationalLike], place: Place
 ) -> tuple[int, Fraction]:
     """(k, |x_k|_v) for the first k where |x_k|_v^{e_k} is the max over the
-    nonzero coordinates (one at least), for positive rational exponents.
-    |x_i|_v^{e_i} > |x_k|_v^{e_k} is decided exactly as |x_i|_v^a > |x_k|_v^b,
-    a/b = e_i/e_k in lowest terms, so no power exceeds the exponents' ratio;
-    at a prime p it compares the exponents of |x|_p = p^(-ord_p x)."""
+    nonzero coordinates (one at least), for positive rational exponents,
+    compared as e_i : e_k = a : b in lowest terms, with no power taken: at
+    oo by the sign of a log|x_i| - b log|x_k|, at p on ord_p's multiples."""
     k = size = None
     for i, (c, e) in enumerate(zip(coords, exps)):
         if c == 0:
             continue
         s = abs(as_fraction(c)) if place.is_archimedean else -val(c, place.prime)
         a, b = (1, 1) if k is None else (as_fraction(e) / exps[k]).as_integer_ratio()
-        if k is None or (s ** a > size ** b if place.is_archimedean else a * s > b * size):
+        if k is None or (_log_power_sign(s, a, size, b) > 0 if place.is_archimedean
+                         else a * s > b * size):
             k, size = i, s
     return k, size if place.is_archimedean else Fraction(place.prime) ** size
+
+
+def _log_power_sign(r: Fraction, a: int, s: Fraction, b: int) -> int:
+    """Sign of a log r - b log s, r and s positive rationals, a and b
+    positive ints.  The float sum of its four terms c log n, off by a few
+    ulps of their absolute sum, decides outside _SIGN_MARGIN of that sum;
+    ``log_sum_sign`` decides inside it, and past the float range."""
+    terms = [(r.numerator, a), (r.denominator, -a), (s.numerator, -b), (s.denominator, b)]
+    floats = [c * math.log(n) for n, c in terms] if max(a, b) < 1 << 1000 else [math.nan]
+    total = sum(floats)
+    if abs(total) > _SIGN_MARGIN * sum(map(abs, floats)):  # never true on an inf or a nan
+        return 1 if total > 0 else -1
+    return log_sum_sign(terms)
 
 
 def val_plus(r: RationalLike, place: Place) -> int | float:

@@ -129,7 +129,7 @@ def _parse_domain(text: str, n_coords: int):
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record))
+    print(_text(record, json.dumps))
 
 
 # ---------------------------------------------------------------------------

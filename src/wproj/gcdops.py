@@ -37,7 +37,7 @@ from .errors import (
     NotNormalized,
     PointOnSubscheme,
 )
-from .weights import Weights
+from .weights import Weights, veronese_data
 # evaluate is unused here; perfbench/tracing.py rebinds this name
 from .wpoly import MIXED, IntegerForm, WPolynomial, evaluate, scaled_value, weighted_degree
 
@@ -190,7 +190,7 @@ def log_hwgcd(
     vals = _normalize_tuple(xs, w)
     total = LogValue(_wgcd_exponents([v.numerator for v in vals], w))
     if include_archimedean:
-        k, size = max_term(vals, [Fraction(1, q) for q in w.q], ARCHIMEDEAN)
+        k, size = max_term(vals, veronese_data(w).exps, ARCHIMEDEAN)
         total = total + Fraction(1, w.q[k]) * LogValue.of_rational(max(1 / size, 1))
     return total
 
@@ -203,7 +203,7 @@ def t_nu(x: "WPoint", place: Place) -> int:
     if place.is_finite:
         p = place.prime
         return _wgcd_exponents([c.numerator for c in x.coords], x.weights, [p]).get(p, 0)
-    k, size = max_term(x.coords, [Fraction(1, q) for q in x.weights.q], ARCHIMEDEAN)
+    k, size = max_term(x.coords, veronese_data(x.weights).exps, ARCHIMEDEAN)
     return floor_log(max(1 / size, Fraction(1)), x.weights.q[k])
 
 

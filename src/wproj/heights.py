@@ -42,8 +42,7 @@ def weil_height(coords: Sequence[RationalLike]) -> tuple[int, float]:
 
 def wheight(x: WPoint) -> HeightValue:
     """Exact weighted height of a point, as wh^m plus its log."""
-    m = x.weights.m
-    exps = tuple(m // q for q in x.weights.q)
+    m, exps = x.weights.m, veronese_data(x.weights).exps
     per_place = []
     product = Fraction(1)
     for place in relevant_places([c for c in x.coords if c != 0]):
@@ -51,10 +50,12 @@ def wheight(x: WPoint) -> HeightValue:
         factor = size ** exps[k]
         per_place.append((place, factor))
         product *= factor
+    log_product = log_of_fraction(product)
     return HeightValue(
         m=m,
         wh_pow_m=product,
-        lwh=log_of_fraction(product) / m,
+        # an m past the float range cannot be a float divisor
+        lwh=log_product / m if m < 2 ** 1024 else float(Fraction(log_product) / m),
         per_place=tuple(per_place),
     )
 

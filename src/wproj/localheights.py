@@ -26,7 +26,7 @@ from .errors import MixedDegree, PointOnSubscheme
 from .gcdops import Subscheme
 from .heights import wheight
 from .points import WPoint
-from .weights import Weights
+from .weights import veronese_data
 from .wpoly import WPolynomial, evaluate
 
 Mode = str  # "paper" | "alt"
@@ -35,10 +35,6 @@ Mode = str  # "paper" | "alt"
 def _check_mode(mode: Mode) -> None:
     if mode not in ("paper", "alt"):
         raise ValueError(f"mode must be 'paper' or 'alt', got {mode!r}")
-
-
-def _denominator_exponents(w: Weights, mode: Mode) -> tuple[int, ...]:
-    return w.q if mode == "paper" else tuple(w.m // q for q in w.q)
 
 
 def _log_max_term(coords: Sequence[Fraction], exps: Sequence[int], place: Place) -> LogValue:
@@ -51,7 +47,8 @@ def _log_max_term(coords: Sequence[Fraction], exps: Sequence[int], place: Place)
 
 def denominator_log(x: WPoint, place: Place, mode: Mode) -> LogValue:
     """Exact log of the local height's denominator at one place."""
-    return _log_max_term(x.coords, _denominator_exponents(x.weights, mode), place)
+    w = x.weights
+    return _log_max_term(x.coords, w.q if mode == "paper" else veronese_data(w).exps, place)
 
 
 def _generator_values(x: WPoint, y: Subscheme, mode: Mode) -> tuple[Fraction, ...]:

@@ -56,7 +56,7 @@ from .gcdops import Subscheme, _int_values, _integer_tuple, _wgcd_value, log_hwg
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
 from .points import WPoint, format_point, sign_canon, sign_canonical_blocks
 from .singular import is_singular
-from .weights import Weights
+from .weights import Weights, veronese_data
 from .wpoly import fix_prefix
 
 
@@ -369,7 +369,7 @@ def _scan_part(
                 exceptional = lhs > rhs
             else:
                 q = config.weights.q
-                k, _ = max_term(point, [Fraction(1, v) for v in q], ARCHIMEDEAN)
+                k, _ = max_term(point, veronese_data(config.weights).exps, ARCHIMEDEAN)
                 s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
                 log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
                 exceptional = log_sum_sign(log_terms) > 0

@@ -444,10 +444,22 @@ def test_max_term_takes_the_first_index_of_a_tie():
     assert max_term((3, 9), (Fraction(1, 2), Fraction(1, 4)), ARCHIMEDEAN) == (0, 3)
 
 
-def test_max_term_raises_no_power_above_the_exponents_ratio():
+def test_max_term_raises_no_coordinate_to_a_power():
     # raising every coordinate to its own exponent, (2/3)^7154819 among
-    # them, took about 3 s; the ratios ask for at most 3^1013 and 5^1009
+    # them, took about 3 s; raising 3 to the ratio 10^8, 158M bits, longer
     start = time.perf_counter()
     exps = (7 * 1009 * 1013, 1013, 1009)
     assert max_term((Fraction(2, 3), 3, 5), exps, ARCHIMEDEAN) == (2, 5)
+    assert max_term((3, 2), (10 ** 8, 1), ARCHIMEDEAN) == (0, 3)
+    assert max_term((2, 3), (Fraction(1, 10 ** 8), 1), ARCHIMEDEAN) == (1, 3)
     assert time.perf_counter() - start < 0.1
+
+
+def test_max_term_inside_the_float_margin_is_exact_under_the_budget():
+    # 301994/190537 and 16785921/10590737 are convergents of log_2 3, so
+    # 2^a and 3^b agree to within 1e-12 relative in their logs: the floats
+    # cannot tell them apart.  2^301994 > 3^190537 takes 985,062 bits.
+    assert max_term((2, 3), (301994, 190537), ARCHIMEDEAN) == (0, 2)
+    assert max_term((3, 2), (1, Fraction(301994, 190537)), ARCHIMEDEAN) == (1, 2)
+    with pytest.raises(ComparisonBudgetExceeded):
+        max_term((2, 3), (16785921, 10590737), ARCHIMEDEAN)

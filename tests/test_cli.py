@@ -110,6 +110,9 @@ def test_veronese_rejects_a_symbolic_point_of_the_wrong_arity(capsys):
     ("height", "[2:3:5]", "--weights", "(1,1009,1013)"),  # wh^m = 2^1022117
     ("veronese", "[2:3:5]", "--weights", "(1,1009,1013)"),  # [2^1022117:3^1013:5^1009]
     ("normalize", "[1/3:1]", "--weights", "(1,10000)"),  # [1:3^10000]
+    # m = AB, 5,000 digits, from coprime weights A, B of 2,500 digits each
+    ("height", "[1:1]", "--weights", f"({10 ** 2499 + 1},{10 ** 2499 + 3})"),
+    ("veronese", "[x0:x1]", "--weights", f"({10 ** 2499 + 1},{10 ** 2499 + 3})"),
 ])
 def test_an_output_past_the_int_to_str_limit_is_a_typed_error(capsys, argv):
     # once a parse-error, though the input parsed
@@ -485,6 +488,15 @@ def test_alt_heights_at_large_weights_factor_no_power(capsys, argv, formal):
                       "--metric", "alt")
     assert time.perf_counter() - start < 0.5
     assert record["formal"] == formal
+
+
+def test_archimedean_hwgcd_at_a_large_weight_ratio_raises_no_power(capsys):
+    # |3|^(1/1) > |2|^(1/10^8): deciding it on 3^(10^8), 158M bits, ran on
+    start = time.perf_counter()
+    record = run_json(capsys, "hwgcd", "[3:2]", "--weights", "(1,100000000)",
+                      "--archimedean", "on")
+    assert time.perf_counter() - start < 0.5
+    assert (record["hwgcd"], record["formal"]) == ("1", [])
 
 
 def test_exact_tie_is_decided_without_powering(capsys):
