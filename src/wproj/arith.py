@@ -10,11 +10,13 @@ floats appear only when a formal sum is collapsed to a real number.
 Every comparison follows one rule: floats decide outside a proven
 margin, and exact work decides inside it under a budget, past which a
 typed error (``ComparisonBudgetExceeded``) is raised instead of running
-on.  ``LogValue._sign`` compares integer products of at most
-_SIGN_BUDGET bits, ``floor_log`` compares decimals of at most
-_EXP_DIGITS digits, and ``log_sum_sign`` (the Vojta scan's verdict near
-a tie, and ``max_term``'s at oo) rewrites a sum of logs over a coprime
-base and hands it to ``LogValue._sign``.
+on.  One routine, ``log_sum_sign``, decides the sign of every sum of
+logs of integers: ``LogValue`` order, ``max_term``'s comparison at oo
+and the Vojta scan's verdict near a tie.  It rewrites the sum over a
+coprime base and compares integer products of at most _SIGN_BUDGET
+bits; ``floor_log`` compares decimals of at most _EXP_DIGITS digits.
+``exact_power`` refuses, as OutputTooLarge, a power of a rational past
+_SIGN_BUDGET bits before taking it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Sequence, Union
 
-from .errors import ComparisonBudgetExceeded, FactoringBudgetExceeded, ParseError, ZeroInput
+from .errors import (ComparisonBudgetExceeded, FactoringBudgetExceeded, OutputTooLarge, ParseError,
+                     ZeroInput)
 
 RationalLike = Union[int, Fraction]
 
@@ -40,9 +43,10 @@ _RHO_BUDGET = 1 << 20
 #: trial divisors and Miller-Rabin bases, exact below psi_13 (Sorenson-Webster)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3_317_044_064_679_887_385_961_981
-#: bits the two integer products of an exact LogValue sign may hold together
+#: bits the two integer products of an exact log sum sign may hold together,
+#: and the numerator or denominator of an exact power
 _SIGN_BUDGET = 1 << 20
-#: relative margin past which the float sum decides a LogValue sign
+#: relative margin past which the float sum decides a log sum sign
 _SIGN_MARGIN = 1e-9
 #: decimal digits past which floor_log gives up on comparing r with e^m
 _EXP_DIGITS = 1 << 11
@@ -141,6 +145,10 @@ def _large_prime_factors(n: int) -> list[int]:
     """Prime factors, with multiplicity, of n > 1 free of primes <= _TRIAL_LIMIT."""
     if n < (_TRIAL_LIMIT + 1) ** 2 or is_prime(n):
         return [n]
+    for k in range(2, n.bit_length() // 16 + 1):  # a k-th root is above 2^16
+        root, exact = integer_nthroot(n, k)
+        if exact:
+            return _large_prime_factors(root) * k
     d = _rho_split(n)
     return _large_prime_factors(d) + _large_prime_factors(n // d)
 
@@ -165,6 +173,16 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def exact_power(r: RationalLike, e: int) -> Fraction:
+    """r^e for an int e >= 0, or OutputTooLarge, before any power is
+    taken, when its numerator or denominator would pass _SIGN_BUDGET
+    bits: n^e has at least e * (bit_length(n) - 1) + 1 of them."""
+    r = as_fraction(r)
+    if e * (max(r.numerator.bit_length(), r.denominator.bit_length()) - 1) >= _SIGN_BUDGET:
+        raise OutputTooLarge(f"an exact power would have over {_SIGN_BUDGET} bits")
+    return r ** e
 
 
 def parse_rational(text: str) -> Fraction:
@@ -317,23 +335,11 @@ def max_term(
             continue
         s = abs(as_fraction(c)) if place.is_archimedean else -val(c, place.prime)
         a, b = (1, 1) if k is None else (as_fraction(e) / exps[k]).as_integer_ratio()
-        if k is None or (_log_power_sign(s, a, size, b) > 0 if place.is_archimedean
-                         else a * s > b * size):
+        if k is None or (log_sum_sign([(s.numerator, a), (s.denominator, -a),
+                                       (size.numerator, -b), (size.denominator, b)]) > 0
+                         if place.is_archimedean else a * s > b * size):
             k, size = i, s
     return k, size if place.is_archimedean else Fraction(place.prime) ** size
-
-
-def _log_power_sign(r: Fraction, a: int, s: Fraction, b: int) -> int:
-    """Sign of a log r - b log s, r and s positive rationals, a and b
-    positive ints.  The float sum of its four terms c log n, off by a few
-    ulps of their absolute sum, decides outside _SIGN_MARGIN of that sum;
-    ``log_sum_sign`` decides inside it, and past the float range."""
-    terms = [(r.numerator, a), (r.denominator, -a), (s.numerator, -b), (s.denominator, b)]
-    floats = [c * math.log(n) for n, c in terms] if max(a, b) < 1 << 1000 else [math.nan]
-    total = sum(floats)
-    if abs(total) > _SIGN_MARGIN * sum(map(abs, floats)):  # never true on an inf or a nan
-        return 1 if total > 0 else -1
-    return log_sum_sign(terms)
 
 
 def val_plus(r: RationalLike, place: Place) -> int | float:
@@ -392,15 +398,25 @@ def log_sum_sign(terms: Iterable[tuple[int, RationalLike]]) -> int:
     """Exact sign of sum c * log n over (n, c) pairs, each n >= 1.
 
     The sum is rewritten over a coprime base of the n, with no
-    factoring.  The logs of pairwise coprime integers > 1 are linearly
-    independent over Q (by unique factorization), so the sum is 0 exactly
-    when every coefficient is; otherwise LogValue._sign decides it, whose
-    keys need only be pairwise coprime and > 1."""
+    factoring, and the coefficients of each base element b merged into
+    one, c_b.  The logs of pairwise coprime integers > 1 are linearly
+    independent over Q (by unique factorization), so the sum is 0
+    exactly when every c_b is.  Otherwise the float sum s of the k terms
+    c_b * log b with |float(c_b)| >= 2^-1000 decides when |s| exceeds
+    max(_SIGN_MARGIN, (k + 4) * 2^-52) * A + T, A the sum of their
+    absolute values and T the sum of 2^-999 * log b over the other
+    terms, which bounds those: no such term is subnormal, so each is off
+    by at most 4 * 2^-53 relative (float(c_b), math.log within one ulp,
+    the product) and the summation adds (k - 1) * 2^-53 * A, so
+    |s - sum c_b log b| <= (k + 3) * 2^-53 * A * (1 + O(k * 2^-53)) + T.
+    Otherwise the products prod b^(c_b * L), L a common denominator, are
+    compared on integers, or ComparisonBudgetExceeded is raised past
+    _SIGN_BUDGET bits."""
     terms = [(n, as_fraction(c)) for n, c in terms]
     if any(n < 1 for n, _ in terms):
         raise ValueError("log_sum_sign needs integers n >= 1")
     base = coprime_base(n for n, _ in terms)
-    coeffs: dict[int, Fraction] = {}
+    merged: dict[int, Fraction] = {}
     for n, c in terms:
         for b in base:
             e = 0
@@ -408,8 +424,35 @@ def log_sum_sign(terms: Iterable[tuple[int, RationalLike]]) -> int:
                 n //= b
                 e += 1
             if e:
-                coeffs[b] = coeffs.get(b, Fraction(0)) + c * e
-    return LogValue(coeffs)._sign()
+                merged[b] = merged.get(b, Fraction(0)) + c * e
+    coeffs = {b: c for b, c in merged.items() if c}
+    if not coeffs:
+        return 0
+    try:
+        floats = [(float(c), math.log(b)) for b, c in coeffs.items()]
+    except OverflowError:  # a coefficient beyond the float range
+        floats = []
+    logs = [fc * log_b for fc, log_b in floats if abs(fc) >= 2.0 ** -1000]
+    tiny = sum(2.0 ** -999 * log_b for fc, log_b in floats if abs(fc) < 2.0 ** -1000)
+    total, size = sum(logs), sum(map(abs, logs))
+    margin = max(_SIGN_MARGIN, (len(logs) + 4) * 2.0 ** -52)
+    if abs(total) > margin * size + tiny:  # never true on an inf or a nan
+        return 1 if total > 0 else -1
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs.values()))
+    exps = [(b, int(c * denom_lcm)) for b, c in coeffs.items()]
+    bits = sum(abs(e) * b.bit_length() for b, e in exps)
+    if bits > _SIGN_BUDGET:
+        raise ComparisonBudgetExceeded(
+            f"deciding the sign of {LogValue(coeffs)!r} needs {bits}-bit products, "
+            f"above the budget of {_SIGN_BUDGET} bits"
+        )
+    num = den = 1
+    for b, e in exps:
+        if e > 0:
+            num *= b ** e
+        else:
+            den *= b ** (-e)
+    return (num > den) - (num < den)
 
 
 def relevant_places(values: Sequence[RationalLike]) -> list[Place]:
@@ -474,9 +517,10 @@ class LogValue:
     Coefficients are Fractions; any log of a nonzero rational decomposes
     into such a sum, so local-height values and log-GCDs can be added,
     scaled, compared, and tested for equality with no floating point.
-    Comparisons are exact: sign(sum c_p log p) is decided by the float
-    sum when it is far from 0, and otherwise by comparing the integer
-    products prod p^(c_p * L) for a common denominator L (see _sign).
+    Comparisons are exact: the sign of a difference, sum c_p log p, is
+    decided by ``log_sum_sign``, the float sum when it is far from 0 and
+    otherwise the integer products prod p^(c_p * L) for a common
+    denominator L.
     """
 
     __slots__ = ("_coeffs",)
@@ -541,56 +585,13 @@ class LogValue:
     def __float__(self) -> float:
         return sum((float(c) * math.log(p) for p, c in self._coeffs.items()), 0.0)
 
-    def _sign(self) -> int:
-        """Exact sign of the represented real number.
-
-        The keys need not be prime: nothing below uses more than that
-        each key is an integer > 1.  The float sum s of the k terms c_p * log p with |float(c_p)| >=
-        2^-1000 decides when |s| exceeds max(_SIGN_MARGIN, (k + 4) * 2^-52)
-        * A + T, A the sum of their absolute values and T the sum of
-        2^-999 * log p over the other terms, which bounds those: no such
-        term is subnormal, so each is off by at most 4 * 2^-53 relative
-        (float(c_p), math.log within one ulp, the product) and the
-        summation adds (k - 1) * 2^-53 * A, so |s - sum c_p log p| <=
-        (k + 3) * 2^-53 * A * (1 + O(k * 2^-53)) + T.  Otherwise the
-        products prod p^(c_p * L), L a common denominator, are compared on
-        integers, or ComparisonBudgetExceeded is raised past _SIGN_BUDGET
-        bits."""
-        if not self._coeffs:
-            return 0
-        try:
-            floats = [(float(c), math.log(p)) for p, c in self._coeffs.items()]
-        except OverflowError:  # a coefficient beyond the float range
-            floats = []
-        terms = [fc * log_p for fc, log_p in floats if abs(fc) >= 2.0 ** -1000]
-        tiny = sum(2.0 ** -999 * log_p for fc, log_p in floats if abs(fc) < 2.0 ** -1000)
-        total, size = sum(terms), sum(map(abs, terms))
-        margin = max(_SIGN_MARGIN, (len(terms) + 4) * 2.0 ** -52)
-        if abs(total) > margin * size + tiny:  # never true on an inf or a nan
-            return 1 if total > 0 else -1
-        denom_lcm = math.lcm(*(c.denominator for c in self._coeffs.values()))
-        exps = [(p, int(c * denom_lcm)) for p, c in self._coeffs.items()]
-        bits = sum(abs(e) * p.bit_length() for p, e in exps)
-        if bits > _SIGN_BUDGET:
-            raise ComparisonBudgetExceeded(
-                f"deciding the sign of {self!r} needs {bits}-bit products, "
-                f"above the budget of {_SIGN_BUDGET} bits"
-            )
-        num = den = 1
-        for p, e in exps:
-            if e > 0:
-                num *= p ** e
-            else:
-                den *= p ** (-e)
-        return (num > den) - (num < den)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogValue):
             return NotImplemented
         return self._coeffs == other._coeffs
 
     def __lt__(self, other: "LogValue") -> bool:
-        return (self - other)._sign() < 0
+        return log_sum_sign((self - other)._coeffs.items()) < 0
 
     def __hash__(self):
         return hash(frozenset(self._coeffs.items()))

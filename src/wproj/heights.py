@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Place, RationalLike, log_of_fraction, max_term, relevant_places
+from .arith import Place, RationalLike, exact_power, log_of_fraction, max_term, relevant_places
 from .errors import HypothesisViolated
 from .points import WPoint, reduce_projective, veronese
 from .weights import veronese_data
@@ -47,7 +47,7 @@ def wheight(x: WPoint) -> HeightValue:
     product = Fraction(1)
     for place in relevant_places([c for c in x.coords if c != 0]):
         k, size = max_term(x.coords, exps, place)
-        factor = size ** exps[k]
+        factor = exact_power(size, exps[k])
         per_place.append((place, factor))
         product *= factor
     log_product = log_of_fraction(product)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .arith import RationalLike, as_fraction, integer_nthroot, parse_rational
+from .arith import RationalLike, as_fraction, exact_power, integer_nthroot, parse_rational
 from .errors import (
     AllZero,
     ArityMismatch,
@@ -118,7 +118,7 @@ def normalization(x: WPoint) -> tuple[WPoint, int, int]:
         raise IllFormedWeights(f"weights {x.weights} are not well-formed")
     q = x.weights.q
     lam = math.lcm(*(c.denominator for c in x.coords))
-    ints = [c * Fraction(lam) ** qi for c, qi in zip(x.coords, q)]
+    ints = [c * exact_power(lam, qi) for c, qi in zip(x.coords, q)]
     g = wgcd(ints, x.weights)
     reduced = tuple(c / Fraction(g) ** qi for c, qi in zip(ints, q))
     return sign_canon(WPoint(reduced, x.weights)), lam, g
@@ -212,7 +212,7 @@ def veronese(x: WPoint) -> tuple[int, ...]:
     reduced to coprime integer coordinates with the sign canon of
     ordinary projective space (first nonzero coordinate positive)."""
     exps = veronese_data(x.weights).exps
-    image = tuple(c ** e for c, e in zip(x.coords, exps))
+    image = tuple(exact_power(c, e) for c, e in zip(x.coords, exps))
     return reduce_projective(image)
 
 

@@ -1,15 +1,37 @@
-"""Random-input generators shared by property and acceptance tests."""
+"""Random-input generators shared by property and acceptance tests, and
+a runner for fresh interpreters."""
 
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from wproj.points import WPoint, sign_canonical_blocks
 from wproj.weights import Weights
 from wproj.wpoly import WPolynomial
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*argv: str, timeout: float) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of a fresh ``python *argv`` with src on
+    PYTHONPATH.  Past ``timeout`` seconds of wall clock the process is
+    killed and subprocess.TimeoutExpired fails the calling test alone."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                         timeout=timeout)
+    return out.returncode, out.stdout, out.stderr
+
+
+def run_wproj(*args: str, timeout: float) -> tuple[int, str, str]:
+    """``run_python`` on ``python -m wproj.cli *args``."""
+    return run_python("-m", "wproj.cli", *args, timeout=timeout)
 
 
 def rand_rational(rng, num_bound, den_bound=None):

@@ -419,6 +419,27 @@ def test_log_sum_sign_of_an_exact_tie_is_zero_without_powering():
         log_sum_sign([(3, 1), (2, Fraction(-16785921, 10590737))])
 
 
+def test_log_sum_sign_tests_the_merged_coefficients_on_floats():
+    # on the raw terms, huge opposite coefficients put the float sum
+    # inside the margin; merged, 10^6 log 2 - 600000 log 3 is far from 0
+    start = time.perf_counter()
+    assert log_sum_sign([(4, 10 ** 18), (2, -2 * 10 ** 18 + 10 ** 6), (3, -600000)]) == 1
+    assert log_sum_sign([(12, 10 ** 15), (6, -10 ** 15), (2, -10 ** 15 + 1)]) == 1
+    assert time.perf_counter() - start < 0.1
+
+
+@given(
+    st.integers(2, 40), st.integers(1, 4), st.integers(10 ** 15, 10 ** 40),
+    st.fractions(-6, 6, max_denominator=6),
+    st.lists(st.tuples(smooth_or_not.filter(lambda n: n < 10 ** 4),
+                       st.fractions(-6, 6, max_denominator=6)), max_size=4),
+)
+def test_log_sum_sign_cancels_huge_coefficients_before_the_floats(b, j, C, d, others):
+    # C log b^j + (-j C + d) log b = d log b: the merged coefficients are small
+    small = sum((LogValue({n: c}) for n, c in [(b, d)] + others), LogValue.zero())
+    assert log_sum_sign([(b ** j, C), (b, -j * C + d)] + others) == _integer_sign(small)
+
+
 @given(
     tie_prone_tuples(),
     st.sampled_from(["q", "m/q", "1/q", "1"]),

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import wproj.scan
+from helpers import run_wproj
 from wproj.cli import (
     _config_record,
     _json_row,
@@ -497,6 +498,29 @@ def test_archimedean_hwgcd_at_a_large_weight_ratio_raises_no_power(capsys):
                       "--archimedean", "on")
     assert time.perf_counter() - start < 0.5
     assert (record["hwgcd"], record["formal"]) == ("1", [])
+
+
+@pytest.mark.parametrize("argv", [
+    ("height", "[3:2]"),  # wh^m = 3^(10^8)
+    ("veronese", "[3:2]"),  # [3^(10^8):2]
+    ("normalize", "[1/3:1]"),  # lambda^(q_1) = 3^(10^8)
+])
+def test_a_power_past_the_budget_is_refused_before_it_is_taken(argv):
+    # 3^(10^8) was built, for over 15 s, before output-too-large
+    code, out, err = run_wproj(*argv, "--weights", "(1,100000000)", timeout=2)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "output-too-large"
+
+
+def test_a_large_prime_power_is_factored_by_its_root():
+    # rho spent its whole budget, about 1.5 s, on N = (2^61 - 1)^2
+    p = 2 ** 61 - 1
+    code, out, err = run_wproj("height", f"[{p * p}:1]", "--weights", "(1,1)", timeout=2)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["per_place"] == [["oo", str(p * p)], [str(p), "1"]]
+    code, out, err = run_wproj("wgcd", f"[{p * p}:{p * p}]", "--weights", "(2,2)", timeout=2)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["wgcd"] == str(p)
 
 
 def test_exact_tie_is_decided_without_powering(capsys):

@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from helpers import run_python
 
 
 def _loaded_by_cli_import(names) -> str:
@@ -12,11 +7,9 @@ def _loaded_by_cli_import(names) -> str:
         "import sys, wproj.cli; "
         f"print(sorted({{m.split('.')[0] for m in sys.modules}} & {set(names)!r}))"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    return out.stdout.strip()
+    code, out, err = run_python("-c", probe, timeout=60)
+    assert code == 0, err
+    return out.strip()
 
 
 def test_cli_import_loads_no_computer_algebra():
