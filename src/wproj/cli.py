@@ -35,7 +35,6 @@ from .scan import (
     BoxDomain,
     ScanConfig,
     ScanReport,
-    ScanRow,
     SUnitGrid,
     sing1_audit,
     vojta_scan,
@@ -77,6 +76,13 @@ def _int(text: str, message: str) -> int:
         return int(text)
     except ValueError:
         raise ParseError(message) from None
+
+
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ParseError):
+        raise ParseError(f"bad rational {text!r} in {flag}") from None
 
 
 def _parse_place(text: str) -> Place:
@@ -300,21 +306,18 @@ def _config_record(config: ScanConfig) -> dict:
     }
 
 
-def _csv_row(row: ScanRow) -> str:
-    return (
-        f"{format_point(row.point)},{row.lhs},{row.rhs:.12g},"
-        f"{row.ratio:.12g},{str(row.exceptional).lower()}"
-    )
+def _csv_row(point, lhs, rhs, ratio, exceptional) -> str:
+    return f"{format_point(point)},{lhs},{rhs:.12g},{ratio:.12g},{str(exceptional).lower()}"
 
 
-def _json_row(row: ScanRow) -> str:
+def _json_row(point, lhs, rhs, ratio, exceptional) -> str:
     """A row as ``json.dumps(..., indent=2)`` lays it out in the rows
     list: the point text needs no escaping, and a finite float's JSON
     text is its ``repr``."""
     return (
-        f'{{\n      "point": "{format_point(row.point)}",\n      "lhs": {row.lhs},\n'
-        f'      "rhs": {_real(row.rhs)!r},\n      "ratio": {_real(row.ratio)!r},\n'
-        f'      "exceptional": {"true" if row.exceptional else "false"}\n    }}'
+        f'{{\n      "point": "{format_point(point)}",\n      "lhs": {lhs},\n'
+        f'      "rhs": {_real(rhs)!r},\n      "ratio": {_real(ratio)!r},\n'
+        f'      "exceptional": {"true" if exceptional else "false"}\n    }}'
     )
 
 
@@ -323,7 +326,7 @@ def _row_texts(report: ScanReport, render) -> list[str]:
     workers render them; a library caller's report holds ScanRows."""
     rows = report.rows
     if rows and not isinstance(rows[0], str):
-        return [render(row) for row in rows]
+        return [render(*row) for row in rows]
     return rows
 
 
@@ -363,8 +366,8 @@ def cmd_vojta_scan(args) -> int:
     config = ScanConfig(
         weights=w,
         subscheme=sub,
-        epsilon=parse_rational(args.epsilon),
-        delta=parse_rational(args.delta),
+        epsilon=_rational(args.epsilon, "--epsilon"),
+        delta=_rational(args.delta, "--delta"),
         s_primes=_parse_s_primes(args.s_primes),
         domain=_parse_domain(args.domain, len(w)),
         codim=args.codim,

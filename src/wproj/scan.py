@@ -197,14 +197,15 @@ class ScanRow(NamedTuple):
     exceptional: bool
 
 
-# What a scan keeps of each row: the ScanRow itself, or its text
-Renderer = Callable[[ScanRow], object]
+# What a scan keeps of each row, made from its five fields in ScanRow's
+# order: by default the ScanRow itself, or its text
+Renderer = Callable[[tuple[int, ...], int, float, float, bool], object]
 
 
 @dataclass
 class ScanReport:
     config: ScanConfig
-    rows: list[ScanRow]
+    rows: list  # what the renderer made of each row: ScanRows by default
     total_candidates: int
     exceptional_count: int
     max_ratio: float
@@ -311,7 +312,7 @@ def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow
     x = tuple(_integer_tuple(point, config.weights))
     if 0 in x:
         raise ZeroInput(f"the prime-to-S part of 0 is undefined, at {format_point(x)}")
-    rows = _scan_part(config, _identity, [(x[:-1], x[-1:])], config.terms([(v,) for v in x]))[-1]
+    rows = _scan_part(config, ScanRow, [(x[:-1], x[-1:])], config.terms([(v,) for v in x]))[-1]
     return rows[0] if rows else None
 
 
@@ -376,7 +377,7 @@ def _scan_part(
             exceptional_count += exceptional
             if ratio > max_ratio:
                 max_ratio = ratio
-            rows.append(render(ScanRow(point, lhs, rhs, ratio, exceptional)))
+            rows.append(render(point, lhs, rhs, ratio, exceptional))
     return total, exceptional_count, max_ratio, rows
 
 
@@ -447,22 +448,15 @@ class _Child:
             self.reaped = True
 
 
-def _identity(row: ScanRow) -> ScanRow:
-    return row
-
-
-def vojta_scan(
-    config: ScanConfig,
-    workers: int = 1,
-    render: Renderer = _identity,
-) -> ScanReport:
+def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = ScanRow) -> ScanReport:
     """Tabulate the inequality over the configured domain.
 
-    ``ScanReport.rows`` holds ``render(row)`` for each row, by default
-    the ``ScanRow`` itself.  With ``workers > 1`` the slices are shared
-    out among this process and at most ``os.cpu_count() - 1`` forked
-    children (none where ``os.fork`` does not exist); the report is the
-    same for any worker count, and so is the error raised.
+    ``ScanReport.rows`` holds ``render(point, lhs, rhs, ratio,
+    exceptional)`` for each row, by default its ``ScanRow``.  With
+    ``workers > 1`` the slices are shared out among this process and at
+    most ``os.cpu_count() - 1`` forked children (none where ``os.fork``
+    does not exist); the report is the same for any worker count, and so
+    is the error raised.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -134,6 +134,16 @@ def test_factoring_budget_raises_a_typed_error_quickly():
     assert (exc.value.code, exc.value.exit_code) == ("factoring-budget", 3)
 
 
+def test_primality_past_the_bit_budget_raises_at_once():
+    assert is_prime(2 ** 1279 - 1)
+    n = 2 ** arith._PRIME_BITS + 1  # F_11: no factor below 2^13
+    start = time.perf_counter()
+    with pytest.raises(FactoringBudgetExceeded):
+        is_prime(n)
+    assert time.perf_counter() - start < 0.1  # BPSW takes about 0.4 s at 2^11 bits
+    assert not is_prime(2 ** arith._PRIME_BITS * 3)  # a small factor still decides
+
+
 def test_place_validation_and_order():
     with pytest.raises(ValueError):
         Place(4)
@@ -403,6 +413,18 @@ def test_log_sum_sign_matches_the_integer_comparison(terms):
         else:
             den *= n ** (-e)
     assert log_sum_sign(terms) == (num > den) - (num < den)
+
+
+@given(st.lists(st.tuples(smooth_or_not, st.integers(-1000, 1000)), max_size=5))  # under the budget
+def test_log_sum_sign_of_int_coefficients_is_that_of_their_fractions(terms):
+    assert log_sum_sign(terms) == log_sum_sign([(n, Fraction(c)) for n, c in terms])
+
+
+def test_float_coordinates_and_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        log_sum_sign([(2, 1.0)])
+    with pytest.raises(TypeError):
+        max_term((5, -7.0, 3), (6, 3, 2), ARCHIMEDEAN)
 
 
 def test_log_sum_sign_of_an_exact_tie_is_zero_without_powering():

@@ -396,9 +396,11 @@ SCAN_HEAD = ("vojta-scan", "--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0"
      "--codim", "2"),
 ])
 def test_zero_denominator_is_a_parse_error(capsys, argv):
-    # once a ZeroDivisionError traceback with exit 1
+    # once a ZeroDivisionError traceback with exit 1; a scan flag's record names the flag
+    flag = argv[-2] if argv[-2] in ("--epsilon", "--delta") else None
+    message = f"bad rational '1/0' in {flag}" if flag else "zero denominator in '1/0'"
     assert run_cli(capsys, *argv) == (
-        2, "", '{"error": "parse-error", "message": "zero denominator in \'1/0\'"}\n'
+        2, "", json.dumps({"error": "parse-error", "message": message}) + "\n"
     )
 
 
@@ -459,6 +461,9 @@ def test_delta_below_the_float_range_fails_before_any_slice(monkeypatch, capsys,
     ((*SCAN_HEAD, "--domain", "sunit:2:100", "--s-primes", "abc"),
      "bad prime 'abc' in --s-primes"),
     ((*SCAN_HEAD, "--domain", "sunit:abc:100"), "bad prime 'abc' in --domain"),
+    # once "Invalid literal for Fraction: 'abc'" and "zero denominator in '1/0'"
+    ((*SCAN_HEAD, "--domain", "box:2", "--epsilon", "abc"), "bad rational 'abc' in --epsilon"),
+    ((*SCAN_HEAD, "--domain", "box:2", "--delta", "1/0"), "bad rational '1/0' in --delta"),
 ])
 def test_input_records_name_the_bad_input(capsys, argv, message):
     # sunit:4:100 once named --s-primes; --bound -1 once gave an empty report
@@ -521,6 +526,35 @@ def test_a_large_prime_power_is_factored_by_its_root():
     code, out, err = run_wproj("wgcd", f"[{p * p}:{p * p}]", "--weights", "(2,2)", timeout=2)
     assert (code, err) == (0, "")
     assert json.loads(out)["wgcd"] == str(p)
+
+
+BIG = "x0^200000-x1^200000"  # at [2:3], |2^200000 - 3^200000| has 316,780 bits
+MERSENNE_9689 = str(2 ** 9689 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("global-height", "[2:3]", "--weights", "(1,1)", "--divisor", BIG),  # relevant_places
+    ("zeta", "[2:3]", "--weights", "(1,1)", "--divisor", BIG, "--place", "inf"),  # of_rational
+    ("zeta", "[3:4]", "--weights", "(2,3)", "--divisor", "x0", "--place", MERSENNE_9689),
+])
+def test_primality_past_the_bit_budget_is_refused(argv):
+    # each ran past 20 s in Miller-Rabin; the Mersenne prime took 64 s
+    code, out, err = run_wproj(*argv, timeout=5)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "factoring-budget"
+
+
+def test_scan_primality_past_the_bit_budget_is_the_same_error_for_any_worker_count():
+    # the lhs gcd factors x1^100000 - x0^100000, reached through _wgcd_value
+    argv = ("vojta-scan", "--weights", "(1,1,1)", "--generators", "x1^100000-x0^100000;x2-x0",
+            "--domain", "box:2")
+    errors = set()
+    for workers in ("1", "2"):
+        code, out, err = run_wproj(*argv, "--workers", workers, timeout=5)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "factoring-budget"
+        errors.add(err)
+    assert len(errors) == 1
 
 
 def test_exact_tie_is_decided_without_powering(capsys):

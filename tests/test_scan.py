@@ -257,7 +257,8 @@ def test_scan_pool_is_capped_at_cpu_count(fake_children, monkeypatch):
 
 def test_scan_raises_the_earliest_failing_slice(fake_children, monkeypatch):
     # slices 1 and 2 fail; slice 2 belongs to this process, slice 1 to a child
-    def render(row):
+    def render(*fields):
+        row = ScanRow(*fields)
         if row.point[0] in (2, 3):
             raise ValueError(f"slice x0 = {row.point[0]}")
         return row
@@ -323,7 +324,7 @@ def test_interrupt_kills_and_reaps_the_children(monkeypatch):
     class Interrupt(BaseException):
         pass
 
-    def render(row):
+    def render(*row):
         if os.getpid() == parent:
             raise Interrupt
         return row
@@ -336,7 +337,7 @@ def test_interrupt_kills_and_reaps_the_children(monkeypatch):
 def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
     parent = _forking(monkeypatch)
 
-    def render(row):
+    def render(*row):
         if os.getpid() != parent:
             os._exit(7)
         return row
@@ -1080,7 +1081,8 @@ def test_block_rows_are_the_per_point_rows(config):
         evaluated.append(point)
         return real(forms, point)
 
-    def render(row):
+    def render(*fields):
+        row = ScanRow(*fields)
         made.append(row)
         return row
 
