@@ -14,7 +14,6 @@ values of a subscheme's generators at a point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -37,6 +36,7 @@ from .errors import (
     NotNormalized,
     PointOnSubscheme,
 )
+from .record import Record
 from .weights import Weights, veronese_data
 # evaluate is unused here; perfbench/tracing.py rebinds this name
 from .wpoly import MIXED, IntegerForm, WPolynomial, evaluate, scaled_value, weighted_degree
@@ -45,8 +45,7 @@ if TYPE_CHECKING:  # only for annotations; points imports this module
     from .points import WPoint
 
 
-@dataclass(frozen=True)
-class Subscheme:
+class Subscheme(Record):
     """Closed subscheme data: generators plus per-generator GCD weights.
 
     ``gcd_weights`` defaults to the generators' weighted degrees (the
@@ -56,7 +55,7 @@ class Subscheme:
     """
 
     generators: tuple[WPolynomial, ...]
-    gcd_weights: Weights = field(default=None)  # type: ignore[assignment]
+    gcd_weights: Weights = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.generators:
@@ -68,15 +67,10 @@ class Subscheme:
             if g.weights != ambient:
                 raise ArityMismatch("generators must share one weight tuple")
         if self.gcd_weights is None:
-            degrees = []
-            for g in self.generators:
-                d = weighted_degree(g)
-                if d is MIXED:
-                    raise MixedDegree(
-                        "mixed-degree generator: supply gcd_weights explicitly"
-                    )
-                degrees.append(max(int(d), 1))
-            object.__setattr__(self, "gcd_weights", Weights(tuple(degrees)))
+            if self.has_mixed_generator():
+                raise MixedDegree("mixed-degree generator: supply gcd_weights explicitly")
+            degrees = tuple(max(int(weighted_degree(g)), 1) for g in self.generators)
+            object.__setattr__(self, "gcd_weights", Weights(degrees))
         elif len(self.gcd_weights) != len(self.generators):
             raise ArityMismatch("need one gcd weight per generator")
 

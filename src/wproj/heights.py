@@ -9,18 +9,17 @@ all equality checks happen on the rational side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .arith import Place, RationalLike, exact_power, log_of_fraction, max_term, relevant_places
 from .errors import HypothesisViolated
 from .points import WPoint, reduce_projective, veronese
+from .record import Record
 from .weights import veronese_data
 
 
-@dataclass(frozen=True)
-class HeightValue:
+class HeightValue(Record):
     """Exact weighted height: m, wh^m as a rational, and its log."""
 
     m: int

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -27,29 +26,28 @@ from .errors import (
     ZeroScalar,
 )
 from .gcdops import wgcd
+from .record import Record
 from .weights import WeightMap, Weights, veronese_data
 
 
-@dataclass(frozen=True)
-class WPoint:
+class WPoint(Record):
     """A point of a weighted projective space over Q."""
 
     coords: tuple[Fraction, ...]
     weights: Weights
 
-    def __post_init__(self):
-        coords = tuple(as_fraction(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != len(self.weights):
-            raise ArityMismatch(
-                f"{len(coords)} coordinates for {len(self.weights)} weights"
-            )
-        if all(c == 0 for c in coords):
+    def __init__(self, coords: Sequence[RationalLike], weights: Weights):
+        coords = tuple(map(as_fraction, coords))
+        if len(coords) != len(weights):
+            raise ArityMismatch(f"{len(coords)} coordinates for {len(weights)} weights")
+        if not any(coords):
             raise AllZero("a projective point needs a nonzero coordinate")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def of(cls, coords: Sequence[RationalLike], weights: Weights) -> "WPoint":
-        return cls(tuple(as_fraction(c) for c in coords), weights)
+        return cls(coords, weights)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coords) if c != 0)

@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -55,13 +54,13 @@ from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedW
 from .gcdops import Subscheme, _int_values, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
 from .points import WPoint, format_point, sign_canon, sign_canonical_blocks
+from .record import Record
 from .singular import is_singular
 from .weights import Weights, veronese_data
 from .wpoly import fix_prefix
 
 
-@dataclass(frozen=True)
-class BoxDomain:
+class BoxDomain(Record):
     """Per-coordinate inclusive integer bounds."""
 
     bounds: tuple[tuple[int, int], ...]
@@ -76,8 +75,7 @@ class BoxDomain:
         return cls(((-radius, radius),) * n_coords)
 
 
-@dataclass(frozen=True)
-class SUnitGrid:
+class SUnitGrid(Record):
     """x_0 = 1 and the remaining coordinates range over S-units <= max_value."""
 
     primes: tuple[int, ...]
@@ -93,8 +91,7 @@ class SUnitGrid:
 Domain = Union[BoxDomain, SUnitGrid]
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(Record):
     weights: Weights
     subscheme: Subscheme
     epsilon: Fraction
@@ -202,8 +199,7 @@ class ScanRow(NamedTuple):
 Renderer = Callable[[tuple[int, ...], int, float, float, bool], object]
 
 
-@dataclass
-class ScanReport:
+class ScanReport(Record):
     config: ScanConfig
     rows: list  # what the renderer made of each row: ScanRows by default
     total_candidates: int
@@ -506,17 +502,19 @@ def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = ScanRow)
 # log-hwgcd singularity audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(Record):
     """A counterexample: log hwgcd = 0 at a nonsingular point."""
 
     point: tuple[int, ...]
     valuations: tuple[tuple[int, tuple[int, ...], int], ...]
     # (prime, per-coordinate floor(nu+/q), min) for each contributing prime
 
+    def __init__(self, point: tuple[int, ...], valuations: tuple):
+        object.__setattr__(self, "point", point)  # one per audit row: no generic binding
+        object.__setattr__(self, "valuations", valuations)
 
-@dataclass
-class AuditReport:
+
+class AuditReport(Record):
     weights: Weights
     bound: int
     total_points: int

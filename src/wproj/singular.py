@@ -10,15 +10,14 @@ maximal index sets matter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import PrimeNotDividingM
 from .points import WPoint
+from .record import Record
 from .weights import Weights
 
 
-@dataclass(frozen=True)
-class SingularComponent:
+class SingularComponent(Record):
     """One component: its prime, the index set J(p), and its dimension
     as a weighted projective space (#J(p) - 1)."""
 

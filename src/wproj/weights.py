@@ -11,23 +11,21 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import NotReduced, ParseError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(Record):
     """Tuple of positive integer weights with derived constants."""
 
     q: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.q, tuple):
-            object.__setattr__(self, "q", tuple(self.q))
-        if len(self.q) == 0:
+        object.__setattr__(self, "q", tuple(self.q))
+        if not self.q:
             raise ValueError("weights must be nonempty")
         for v in self.q:
             if not isinstance(v, int) or v < 1:
@@ -78,8 +76,7 @@ class Weights:
         return "(" + ",".join(str(v) for v in self.q) + ")"
 
 
-@dataclass(frozen=True)
-class WeightMap:
+class WeightMap(Record):
     """Coordinate power map y_i = x_i^{e_i} between weighted spaces."""
 
     source: Weights

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -33,6 +32,7 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
+from .record import Record
 from .weights import Weights
 
 
@@ -51,8 +51,7 @@ IntegerTerm = tuple[int, tuple[tuple[int, int], ...]]  # (a, ((i, e_i), ...))
 IntegerForm = tuple[int, tuple[IntegerTerm, ...]]  # (D, terms)
 
 
-@dataclass(frozen=True)
-class WPolynomial:
+class WPolynomial(Record):
     """Multivariate polynomial tied to a weight tuple.
 
     ``terms`` is canonical: no zero coefficients, no duplicate exponent

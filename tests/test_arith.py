@@ -144,6 +144,57 @@ def test_primality_past_the_bit_budget_raises_at_once():
     assert not is_prime(2 ** arith._PRIME_BITS * 3)  # a small factor still decides
 
 
+M127, M1279 = 2 ** 127 - 1, 2 ** 1279 - 1
+
+
+def test_a_prime_power_past_the_primality_cap_is_factored_by_its_root():
+    # (2^1279 - 1)^2 has 2,558 bits: is_prime refused it before its root was tried
+    assert factorize(M1279 ** 2).factors == ((M1279, 2),)
+    assert factorize(-(M1279 ** 3) * 6).factors == ((2, 1), (3, 1), (M1279, 3))
+
+
+def test_past_the_primality_cap_only_a_power_within_four_caps_is_factored():
+    cap = arith._PRIME_BITS
+    n = (2 ** 2203 - 1) * (2 ** 2281 - 1) * M1279 * (2 ** 607 - 1)  # 6,370 bits, no power
+    start = time.perf_counter()
+    with pytest.raises(FactoringBudgetExceeded):
+        factorize(n)  # 78 roots, then is_prime refuses
+    assert time.perf_counter() - start < 2
+    square = (2 ** 4423 - 1) ** 2  # a Mersenne prime squared, past 4 caps
+    assert square.bit_length() > 4 * cap
+    start = time.perf_counter()
+    with pytest.raises(FactoringBudgetExceeded):
+        factorize(square)
+    assert time.perf_counter() - start < 0.5  # refused at once, no root tried
+
+
+def test_a_huge_number_is_divided_only_by_its_own_small_primes():
+    # |2^200000 - 3^200000| has 316,780 bits: dividing it by each of the
+    # 21,845 trial candidates took 1.7 s before its cofactor was refused
+    arith._trial_product()  # built once per process, about 0.02 s
+    start = time.perf_counter()
+    with pytest.raises(FactoringBudgetExceeded):
+        factorize(abs(2 ** 200000 - 3 ** 200000))
+    assert time.perf_counter() - start < 0.6
+    assert factorize(2 ** 3000 * 65521 ** 3 * M127).factors == ((2, 3000), (65521, 3), (M127, 1))
+
+
+def test_factors_past_the_cap_are_the_ones_multiplied():
+    rng = random.Random(20)
+    primes = list(sympy.primerange(2, 2 ** 16))
+    assert arith._trial_product() == math.prod(primes)
+    assert arith._trial_product().bit_length() == 94027
+    cofactors = ({}, {65537: 1}, {M127: 1}, {65537: 1, 65539: 1}, {65537: 2})
+    for _ in range(40):
+        factors = {rng.choice(primes): rng.randint(1, 400) for _ in range(rng.randint(1, 6))}
+        factors.update(rng.choice(cofactors))
+        n = math.prod(p ** e for p, e in factors.items())
+        if n.bit_length() <= arith._PRIME_BITS:  # past the cap
+            factors[3] = factors.get(3, 0) + arith._PRIME_BITS
+            n *= 3 ** arith._PRIME_BITS
+        assert factorize(n).factors == tuple(sorted(factors.items()))
+
+
 def test_place_validation_and_order():
     with pytest.raises(ValueError):
         Place(4)

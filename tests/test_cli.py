@@ -539,9 +539,20 @@ MERSENNE_9689 = str(2 ** 9689 - 1)
 ])
 def test_primality_past_the_bit_budget_is_refused(argv):
     # each ran past 20 s in Miller-Rabin; the Mersenne prime took 64 s
-    code, out, err = run_wproj(*argv, timeout=5)
+    code, out, err = run_wproj(*argv, timeout=2)
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "factoring-budget"
+
+
+def test_a_huge_divisor_value_is_refused_without_trial_division():
+    # 1.9 s, 1.7 s of it dividing 2^200000 - 3^200000 by every trial candidate
+    start = time.perf_counter()
+    code, out, err = run_wproj("global-height", "[2:3]", "--weights", "(1,1)", "--divisor", BIG,
+                               timeout=5)
+    assert time.perf_counter() - start < 0.6
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "factoring-budget", "message":
+                               "a 316780-bit number is past the primality budget of 2048 bits"}
 
 
 def test_scan_primality_past_the_bit_budget_is_the_same_error_for_any_worker_count():

@@ -17,6 +17,12 @@ def test_cli_import_loads_no_computer_algebra():
     assert _loaded_by_cli_import({"sympy", "mpmath"}) == "[]"
 
 
+def test_cli_import_loads_no_dataclasses():
+    # decorating wproj's 15 value classes cost 13-15 ms in every process, and
+    # importing dataclasses pulls in inspect, ast, dis and tokenize
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "ast", "dis", "tokenize"}) == "[]"
+
+
 def test_cli_import_loads_no_process_pool():
     # every CLI process pays for what it imports (the benchmark's setup_s);
     # the scan forks its workers itself and imports pickle only then

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -616,7 +615,9 @@ def test_walk_tables_factor_no_large_value(monkeypatch):
     # weighted GCDs of its tuples take microseconds
     calls = _counting(monkeypatch, wproj.arith, "factorize")
     lo = 4 * 10 ** 9
-    config = dataclasses.replace(tie_config(14), domain=BoxDomain(((2, 2), (2, 2), (lo, lo + 400))))
+    tie = tie_config(14)
+    config = ScanConfig(tie.weights, tie.subscheme, tie.epsilon, tie.delta, tie.s_primes,
+                        BoxDomain(((2, 2), (2, 2), (lo, lo + 400))))
     radicals = config.coordinate_radicals
     assert calls == [] and radicals[2][lo + 7] == lo + 7
     points = [p for part in wproj.scan.parts(config)
