@@ -306,39 +306,41 @@ def _config_record(config: ScanConfig) -> dict:
     }
 
 
-def _csv_row(point, lhs, rhs, ratio, exceptional) -> str:
-    return f"{format_point(point)},{lhs},{rhs:.12g},{ratio:.12g},{str(exceptional).lower()}"
+def _csv_rows(prefix, values, lhs, rhs, ratio, exceptional) -> list[str]:
+    """A block's CSV rows (a ``scan.Renderer``): the points' text, as
+    ``format_point``'s, up to their last coordinate is made once."""
+    head = "[" + "".join(f"{c}:" for c in prefix)
+    return [f"{head}{v}],{a},{r:.12g},{q:.12g},{'true' if e else 'false'}"
+            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
 
 
-def _json_row(point, lhs, rhs, ratio, exceptional) -> str:
-    """A row as ``json.dumps(..., indent=2)`` lays it out in the rows
-    list: the point text needs no escaping, and a finite float's JSON
-    text is its ``repr``."""
-    return (
-        f'{{\n      "point": "{format_point(point)}",\n      "lhs": {lhs},\n'
-        f'      "rhs": {_real(rhs)!r},\n      "ratio": {_real(ratio)!r},\n'
-        f'      "exceptional": {"true" if exceptional else "false"}\n    }}'
-    )
+def _json_rows(prefix, values, lhs, rhs, ratio, exceptional) -> list[str]:
+    """A block's rows as ``json.dumps(..., indent=2)`` lays them out in the rows list, as
+    ``_csv_rows``: the point text needs no escaping, and a float's JSON text is its repr."""
+    head = '{\n      "point": "[' + "".join(f"{c}:" for c in prefix)
+    return [f'{head}{v}]",\n      "lhs": {a},\n      "rhs": {_real(r)!r},\n      "ratio": '
+            f'{_real(q)!r},\n      "exceptional": {"true" if e else "false"}\n    }}'
+            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
 
 
 def _row_texts(report: ScanReport, render) -> list[str]:
     """The report's rows as text.  ``cmd_vojta_scan`` has the scan's
-    workers render them; a library caller's report holds ScanRows."""
-    rows = report.rows
-    if rows and not isinstance(rows[0], str):
-        return [render(*row) for row in rows]
-    return rows
+    workers render them; a library caller's holds ScanRows, blocks of one."""
+    if report.rows and not isinstance(report.rows[0], str):
+        return [text for p, *fields in report.rows
+                for text in render(p[:-1], p[-1:], *([field] for field in fields))]
+    return report.rows
 
 
 def format_scan_csv(report: ScanReport) -> str:
-    lines = ["point,lhs,rhs,ratio,exceptional", *_row_texts(report, _csv_row)]
+    lines = ["point,lhs,rhs,ratio,exceptional", *_row_texts(report, _csv_rows)]
     return "\n".join(lines) + "\n"
 
 
 def format_scan_json(report: ScanReport) -> str:
     """The scan record, byte for byte as ``json.dumps(record, indent=2)``,
     whose pure-Python encoder writes only the config head and the
-    summary here; the rows come from the ``_json_row`` template."""
+    summary here; the rows come from the ``_json_rows`` template."""
     head = json.dumps({"config": _config_record(report.config)}, indent=2)
     summary = json.dumps({
         "rows": len(report.rows),
@@ -347,7 +349,7 @@ def format_scan_json(report: ScanReport) -> str:
         "exceptional": report.exceptional_count,
         "max_ratio": _real(report.max_ratio),
     }, indent=2).replace("\n", "\n  ")
-    rows = _json_list(_row_texts(report, _json_row), 1)
+    rows = _json_list(_row_texts(report, _json_rows), 1)
     return f'{head[:-2]},\n  "rows": {rows},\n  "summary": {summary}\n}}\n'
 
 
@@ -373,9 +375,9 @@ def cmd_vojta_scan(args) -> int:
         codim=args.codim,
     )
     if args.format == "csv":
-        render, write = _csv_row, format_scan_csv
+        render, write = _csv_rows, format_scan_csv
     else:
-        render, write = _json_row, format_scan_json
+        render, write = _json_rows, format_scan_json
     report = vojta_scan(config, workers=args.workers, render=render)
     sys.stdout.write(write(report))
     return 0

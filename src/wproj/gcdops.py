@@ -39,7 +39,7 @@ from .errors import (
 from .record import Record
 from .weights import Weights, veronese_data
 # evaluate is unused here; perfbench/tracing.py rebinds this name
-from .wpoly import MIXED, IntegerForm, WPolynomial, evaluate, scaled_value, weighted_degree
+from .wpoly import MIXED, WPolynomial, evaluate, scaled_value, weighted_degree
 
 if TYPE_CHECKING:  # only for annotations; points imports this module
     from .points import WPoint
@@ -93,22 +93,13 @@ class Subscheme(Record):
         NonIntegralValue at the first coordinate or value that is not an
         integer."""
         coords = _integer_tuple(coords, self.ambient_weights)
-        return tuple(_int_values([g.integer_form for g in self.generators], coords))
-
-
-def _int_values(forms: Sequence[IntegerForm], x: Sequence[int]) -> list[int]:
-    """The values at x of the polynomials with these integer forms, as
-    ints; raises NonIntegralValue at the first that is not an integer.
-    x is a tuple of ints of their arity and is not checked here:
-    ``values_at`` checks a point from outside, and the scan's
-    enumeration yields such tuples by construction."""
-    values = []
-    for d, terms in forms:
-        v = scaled_value(terms, x)
-        if v % d:
-            raise NonIntegralValue(f"{Fraction(v, d)} is not an integer")
-        values.append(v // d)
-    return values
+        values = []
+        for d, terms in (g.integer_form for g in self.generators):
+            v = scaled_value(terms, coords)
+            if v % d:
+                raise NonIntegralValue(f"{Fraction(v, d)} is not an integer")
+            values.append(v // d)
+        return tuple(values)
 
 
 def _normalize_tuple(xs: Sequence[RationalLike], w: Weights) -> list[Fraction]:

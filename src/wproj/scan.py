@@ -29,13 +29,15 @@ worker count.  A failing slice ends its process's share, and the merge
 raises the error of the earliest failing slice in enumeration order:
 the error that one worker would have raised first.
 
-Every row is made by one row loop, ``_scan_part``, which takes the
-candidates block by block and does the work that depends only on the
-leading coordinates once per block.  The candidates are tuples of ints
-of the right length, not all zero, so the loop checks only that each
-generator value is an integer; a point from outside enters through
-``evaluate_point``, which makes the arity, all-zero and integrality
-checks and then runs the same loop on it alone, with its own terms.
+Every row is made by one loop, ``_scan_part``, which takes the
+candidates block by block (a prefix and values of the last coordinate),
+does the work of the prefix once, evaluates each generator over the
+values as one column of ints and renders the kept rows by one call.
+The candidates are tuples of ints of the right length, not all zero,
+so the loop checks only that each generator value is an integer; a
+point from outside enters through ``evaluate_point``, which makes the
+arity, all-zero and integrality checks and then runs the same loop on
+it alone, a block of one value with its own terms.
 """
 
 from __future__ import annotations
@@ -49,15 +51,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .arith import (_SIGN_MARGIN, _TRIAL_LIMIT, ARCHIMEDEAN, RationalLike, log_sum_sign,
                     max_term, s_part)
-from .errors import DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights, ZeroInput
+from .errors import (DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights,
+                     NonIntegralValue, ZeroInput)
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
-from .gcdops import Subscheme, _int_values, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
+from .gcdops import Subscheme, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
 from .points import WPoint, format_point, sign_canon, sign_canonical_blocks
 from .record import Record
 from .singular import is_singular
 from .weights import Weights, veronese_data
-from .wpoly import fix_prefix
+from .wpoly import IntegerForm, fix_prefix
 
 
 class BoxDomain(Record):
@@ -194,14 +197,20 @@ class ScanRow(NamedTuple):
     exceptional: bool
 
 
-# What a scan keeps of each row, made from its five fields in ScanRow's
-# order: by default the ScanRow itself, or its text
-Renderer = Callable[[tuple[int, ...], int, float, float, bool], object]
+# What a scan keeps of a block, the rows at prefix + (v,): the list made from the prefix
+# and the rows' columns (values, lhs, rhs, ratio, exceptional), ScanRows or their text
+Renderer = Callable[[tuple[int, ...], Sequence[int], Sequence[int], Sequence[float],
+                     Sequence[float], Sequence[bool]], list]
+
+
+def scan_rows(prefix, values, lhs, rhs, ratio, exceptional) -> list[ScanRow]:
+    """A block's ScanRows: the default ``Renderer``."""
+    return list(map(ScanRow, [prefix + (v,) for v in values], lhs, rhs, ratio, exceptional))
 
 
 class ScanReport(Record):
     config: ScanConfig
-    rows: list  # what the renderer made of each row: ScanRows by default
+    rows: list  # the renderer's rows of each block, concatenated: ScanRows by default
     total_candidates: int
     exceptional_count: int
     max_ratio: float
@@ -308,8 +317,34 @@ def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow
     x = tuple(_integer_tuple(point, config.weights))
     if 0 in x:
         raise ZeroInput(f"the prime-to-S part of 0 is undefined, at {format_point(x)}")
-    rows = _scan_part(config, ScanRow, [(x[:-1], x[-1:])], config.terms([(v,) for v in x]))[-1]
+    rows = _scan_part(config, scan_rows, [(x[:-1], x[-1:])], config.terms([(v,) for v in x]))[-1]
     return rows[0] if rows else None
+
+
+def _int_columns(forms: Sequence[IntegerForm], values: Sequence[int]):
+    """(columns, error): per ``fix_prefix`` form, its ints at the values, by one
+    list pass per term, and the NonIntegralValue of the first row, at its first
+    form, with a value that is not an integer, or None; the columns then stop
+    before that row."""
+    columns, stop, error = [], len(values), None
+    for d, terms in forms:
+        column = [0] * len(values)
+        for a, powers in terms:  # a * v^e, with no power taken at e = 0 or 1
+            e = powers[0][1] if powers else 0
+            if e == 0:
+                column = [s + a for s in column]
+            elif e == 1:
+                column = [s + a * v for s, v in zip(column, values)]
+            else:
+                column = [s + a * v ** e for s, v in zip(column, values)]
+        if d != 1:
+            bad = [i for i, v in enumerate(column[:stop]) if v % d]
+            if bad:
+                stop = bad[0]
+                error = NonIntegralValue(f"{Fraction(column[stop], d)} is not an integer")
+            column = [v // d for v in column]
+        columns.append(column)
+    return [column[:stop] for column in columns], error
 
 
 def _scan_part(
@@ -322,15 +357,18 @@ def _scan_part(
     the right length, not all zero, and only the generator values are
     checked (NonIntegralValue); they stay ints up to lhs.  A point where
     every generator vanishes is a candidate with no row.  Per block, the
-    generators are fixed at the prefix (``wpoly.fix_prefix``) and the
-    prefix's max of log|x_i|/q_i and product of prime-to-S parts are read
-    from ``tables`` (``ScanConfig.terms``); the prime-to-S part is
+    generators are fixed at the prefix (``wpoly.fix_prefix``) and
+    evaluated as columns (``_int_columns``), and the prefix's max of
+    log|x_i|/q_i and product of prime-to-S parts are read from
+    ``tables`` (``ScanConfig.terms``); the prime-to-S part is
     multiplicative, so times the last coordinate's it is s_part(x_0 ...
     x_n, S).  The floats decide lhs > rhs unless lhs / rhs is within
     ``arith._SIGN_MARGIN`` of 1, far above their rounding error.  There
     the sign of log lhs - log rhs, a sum of three logs of ints, is
     decided exactly by ``log_sum_sign``, at the first coordinate k
-    where |x_k|^(1/q_k) is the max (``arith.max_term``)."""
+    where |x_k|^(1/q_k) is the max (``arith.max_term``).  A block's rows
+    are rendered by one call; a non-integral value is raised after the
+    rows before it, in the order of a row-by-row scan."""
     forms = [g.integer_form for g in config.subscheme.generators]
     gcd_weights = config.subscheme.gcd_weights
     epsilon, s_exponent, margin = config.float_epsilon, config.rhs_exponent, _SIGN_MARGIN
@@ -341,13 +379,12 @@ def _scan_part(
     rows = []
     for prefix, values in blocks:
         total += len(values)
-        reduced = [fix_prefix(form, prefix) for form in forms]
+        columns, error = _int_columns([fix_prefix(form, prefix) for form in forms], values)
         head = [table[c] for table, c in zip(tables, prefix)]
         head_max = max([lg for lg, _ in head], default=-math.inf)
         head_part = prod([part for _, part in head])
-        for v in values:
-            point = prefix + (v,)
-            ints = _int_values(reduced, point)
+        kept = []
+        for v, ints in zip(values, zip(*columns)):
             if not any(ints):
                 continue
             lhs = _wgcd_value(ints, gcd_weights)  # ints, not all 0
@@ -359,21 +396,25 @@ def _scan_part(
                 ratio = lhs / rhs
             except OverflowError:
                 raise FloatOverflow(
-                    f"the row at {format_point(point)} leaves the float range "
+                    f"the row at {format_point(prefix + (v,))} leaves the float range "
                     f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
                 ) from None
             if abs(ratio - 1.0) > margin:
                 exceptional = lhs > rhs
             else:
-                q = config.weights.q
+                point, q = prefix + (v,), config.weights.q
                 k, _ = max_term(point, veronese_data(config.weights).exps, ARCHIMEDEAN)
                 s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
                 log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
                 exceptional = log_sum_sign(log_terms) > 0
-            exceptional_count += exceptional
-            if ratio > max_ratio:
-                max_ratio = ratio
-            rows.append(render(point, lhs, rhs, ratio, exceptional))
+            kept.append((v, lhs, rhs, ratio, exceptional))
+        if kept:
+            kept_columns = list(zip(*kept))  # values, lhs, rhs, ratio, exceptional
+            exceptional_count += sum(kept_columns[4])
+            max_ratio = max(max_ratio, *kept_columns[3])
+            rows += render(prefix, *kept_columns)
+        if error:
+            raise error
     return total, exceptional_count, max_ratio, rows
 
 
@@ -444,11 +485,12 @@ class _Child:
             self.reaped = True
 
 
-def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = ScanRow) -> ScanReport:
+def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = scan_rows) -> ScanReport:
     """Tabulate the inequality over the configured domain.
 
-    ``ScanReport.rows`` holds ``render(point, lhs, rhs, ratio,
-    exceptional)`` for each row, by default its ``ScanRow``.  With
+    ``ScanReport.rows`` holds the rows that ``render(prefix, values, lhs,
+    rhs, ratio, exceptional)`` makes of each block of kept rows, in
+    order: by default their ``ScanRow``s (``scan_rows``).  With
     ``workers > 1`` the slices are shared out among this process and at
     most ``os.cpu_count() - 1`` forked children (none where ``os.fork``
     does not exist); the report is the same for any worker count, and so

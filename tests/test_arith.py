@@ -338,6 +338,32 @@ def test_ord_int():
     assert ord_int(-48, 3) == 1
     with pytest.raises(ZeroInput):
         ord_int(0, 2)
+    for p in (1, 0, -1):  # p = 1 would divide for ever
+        with pytest.raises(ValueError):
+            ord_int(48, p)
+
+
+def _one_step_valuation(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
+@given(st.sampled_from([2, 3, 5, 7, 65521, 2**31 - 1]), st.integers(0, 300),
+       st.integers(-10**30, 10**30).filter(bool))
+def test_valuation_is_the_one_step_loop(p, e, n):
+    assert arith._valuation(p**e * n, p) == _one_step_valuation(p**e * n, p)
+
+
+def test_huge_prime_powers_are_divided_out_at_once():
+    # dividing by p one power at a time took 2.3 s for 2^100000 and 3.9 s
+    # for ord_int(3^100000, 3)
+    start = time.perf_counter()
+    assert arith.factorize(2**100000 * 3**40000 * 5).factors == ((2, 100000), (3, 40000), (5, 1))
+    assert ord_int(-(3**100000) * 2, 3) == 100000
+    assert time.perf_counter() - start < 0.5
 
 
 def _integer_sign(value):

@@ -11,7 +11,7 @@ import wproj.scan
 from helpers import run_wproj
 from wproj.cli import (
     _config_record,
-    _json_row,
+    _json_rows,
     _rat,
     _real,
     format_audit_json,
@@ -311,7 +311,7 @@ def test_scan_json_matches_the_json_module(monkeypatch, config):
     expected = json.dumps(_scan_record(rows), indent=2) + "\n"
     assert format_scan_json(rows) == expected
     for workers in (1, 2):
-        rendered = vojta_scan(config, workers=workers, render=_json_row)
+        rendered = vojta_scan(config, workers=workers, render=_json_rows)
         assert format_scan_json(rendered) == expected
 
 
@@ -553,6 +553,23 @@ def test_a_huge_divisor_value_is_refused_without_trial_division():
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "factoring-budget", "message":
                                "a 316780-bit number is past the primality budget of 2048 bits"}
+
+
+@pytest.mark.parametrize("argv, record", [
+    (("zeta", "[2:1]", "--weights", "(1,1)", "--divisor", "x0^100000", "--place", "2"),
+     {"point": "[2:1]", "place": "2", "metric": "paper", "zeta": 69314.718056,
+      "formal": [[2, "100000"]]}),
+    (("global-height", "[2:1]", "--weights", "(1,1)", "--divisor", "x0^100000"),
+     {"point": "[2:1]", "metric": "paper", "value": 0.69314718056, "formal": [[2, "1"]]}),
+    (("global-height", "[6:1]", "--weights", "(1,1)", "--divisor", "x0^60000"),
+     {"point": "[6:1]", "metric": "paper", "value": 1.79175946923,
+      "formal": [[2, "1"], [3, "1"]]}),
+])
+def test_a_huge_prime_power_value_is_factored_in_log_steps(argv, record):
+    # 5, 7.6 and 14 s when each power of 2 or 3 was divided out one at a time
+    code, out, err = run_wproj(*argv, timeout=2)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == record
 
 
 def test_scan_primality_past_the_bit_budget_is_the_same_error_for_any_worker_count():

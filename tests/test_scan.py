@@ -3,7 +3,6 @@ import json
 import math
 import os
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 import sympy
@@ -35,6 +34,7 @@ from wproj.scan import (
     evaluate_point,
     primitive_tuples,
     s_units,
+    scan_rows,
     sing1_audit,
     vojta_scan,
 )
@@ -256,11 +256,10 @@ def test_scan_pool_is_capped_at_cpu_count(fake_children, monkeypatch):
 
 def test_scan_raises_the_earliest_failing_slice(fake_children, monkeypatch):
     # slices 1 and 2 fail; slice 2 belongs to this process, slice 1 to a child
-    def render(*fields):
-        row = ScanRow(*fields)
-        if row.point[0] in (2, 3):
-            raise ValueError(f"slice x0 = {row.point[0]}")
-        return row
+    def render(prefix, *columns):
+        if prefix[0] in (2, 3):
+            raise ValueError(f"slice x0 = {prefix[0]}")
+        return scan_rows(prefix, *columns)
 
     config = make_config(domain=BoxDomain(((1, 5), (1, 2), (1, 2))))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -317,16 +316,54 @@ def test_failure_in_this_process_leaves_no_child(monkeypatch):
     _assert_no_child_left()
 
 
+# at x0 = 1 the block [1:1:1..6] fails in these rows: P2 = (x2-x0)(x2-2x0)/4
+# at x2 = 3 (1/2), P3 = (x2-x0)(x2-2x0)(x2-3x0)/8 at x2 = 4 (3/4), P2B =
+# (x2-x0)(x2-2x0)/3 at x2 = 3 (2/3), and epsilon 1000 puts rhs past the
+# float range from x2 = 3 on; x2+x0 never fails and never vanishes, so
+# with it the rows x2 = 1, 2 are kept before the failure.  The forked
+# worker's slice, x0 = 2, fails too, at its first row, and the merge
+# must still raise slice x0 = 1's error
+P2 = "1/4*x2^2-3/4*x0*x2+1/2*x0^2"
+P3 = "1/8*x2^3-3/4*x0*x2^2+11/8*x0^2*x2-3/4*x0^3"
+P2B = "1/3*x2^2-x0*x2+2/3*x0^2"
+
+
+@pytest.mark.parametrize("generators, error, message", [
+    # an earlier row at generator 0 and a later one at generator 1
+    ((P2, P3), "non-integral-value", "1/2 is not an integer"),
+    # generator 1's failing row comes first
+    ((P3, P2), "non-integral-value", "1/2 is not an integer"),
+    # one row, two failing generators: the first generator's value
+    ((P2, P2B), "non-integral-value", "1/2 is not an integer"),
+    ((P2B, P2), "non-integral-value", "2/3 is not an integer"),
+    # mid-block, after kept rows
+    (("x2+x0", P2), "non-integral-value", "1/2 is not an integer"),
+    # the row before generator 1's failure leaves the float range
+    (("x2+x0", P3), "float-overflow",
+     "the row at [1:1:3] leaves the float range (log rhs = 1099.71, lhs has 3 bits)"),
+])
+def test_block_errors_come_in_row_order(monkeypatch, capsys, generators, error, message):
+    _forking(monkeypatch)
+    argv = ["vojta-scan", "--weights", "(1,1,1)", "--generators", ";".join(generators),
+            "--epsilon", "1000", "--domain", "box:1..2,1..1,1..6"]
+    for workers in ("1", "2"):
+        assert main(argv + ["--workers", workers]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == json.dumps({"error": error, "message": message}) + "\n"
+    _assert_no_child_left()
+
+
 def test_interrupt_kills_and_reaps_the_children(monkeypatch):
     parent = _forking(monkeypatch)
 
     class Interrupt(BaseException):
         pass
 
-    def render(*row):
+    def render(*block):
         if os.getpid() == parent:
             raise Interrupt
-        return row
+        return scan_rows(*block)
 
     with pytest.raises(Interrupt):
         vojta_scan(make_config(), workers=2, render=render)
@@ -336,10 +373,10 @@ def test_interrupt_kills_and_reaps_the_children(monkeypatch):
 def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
     parent = _forking(monkeypatch)
 
-    def render(*row):
+    def render(*block):
         if os.getpid() != parent:
             os._exit(7)
-        return row
+        return scan_rows(*block)
 
     died = r"^scan worker \d+ exited without a result \(exit code 7\)$"
     with pytest.raises(RuntimeError, match=died):
@@ -1075,30 +1112,33 @@ def _row_key(row):
 @example(_box_config((1, 1, 1), ("1/2*x1-x0", "x2-x0"), (1, 1), ((-2, 2),) * 3))
 @given(block_scan_configs())
 def test_block_rows_are_the_per_point_rows(config):
-    real = wproj.scan._int_values
-    evaluated, made, totals = [], [], []
+    blocks_seen, made, totals = [], [], []
 
-    def spy(forms, point):
-        evaluated.append(point)
-        return real(forms, point)
+    def render(*block):
+        rows = scan_rows(*block)
+        made.extend(rows)
+        return rows
 
-    def render(*fields):
-        row = ScanRow(*fields)
-        made.append(row)
-        return row
+    def seen(blocks):
+        for block in blocks:
+            blocks_seen.append(block)
+            yield block
 
     error = None
-    with mock.patch.object(wproj.scan, "_int_values", spy):
-        try:
-            for part in wproj.scan.parts(config):
-                blocks = wproj.scan.candidate_points(config, part)
-                totals.append(wproj.scan._scan_part(config, render, blocks,
-                                                    config.coordinate_terms))
-        except NonIntegralValue as exc:
-            error = str(exc)
+    try:
+        for part in wproj.scan.parts(config):
+            blocks = seen(wproj.scan.candidate_points(config, part))
+            totals.append(wproj.scan._scan_part(config, render, blocks, config.coordinate_terms))
+    except NonIntegralValue as exc:
+        error = str(exc)
     rows, points, expected_error = _reference_rows(config)
-    assert evaluated == points
+    scanned = block_points(blocks_seen)
     assert error == expected_error
+    if error is None:
+        assert scanned == points
+    else:  # the reference stops at the failing point, in the last block scanned
+        assert scanned[:len(points)] == points
+        assert len(points) > len(scanned) - len(blocks_seen[-1][1])
     assert [_row_key(row) for row in made] == [_row_key(row) for row in rows]
     if error is None:
         assert [row for *_, part_rows in totals for row in part_rows] == made
