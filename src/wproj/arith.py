@@ -191,11 +191,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def exact_power(r: RationalLike, e: int) -> Fraction:
-    """r^e for an int e >= 0, or OutputTooLarge, before any power is
-    taken, when its numerator or denominator would pass _SIGN_BUDGET
-    bits: n^e has at least e * (bit_length(n) - 1) + 1 of them."""
-    r = as_fraction(r)
+def exact_power(r: RationalLike, e: int) -> RationalLike:
+    """r^e for an int e >= 0, of r's type, or OutputTooLarge, before any
+    power is taken, when its numerator or denominator would pass
+    _SIGN_BUDGET bits: n^e has at least e * (bit_length(n) - 1) + 1 of them."""
     if e * (max(r.numerator.bit_length(), r.denominator.bit_length()) - 1) >= _SIGN_BUDGET:
         raise OutputTooLarge(f"an exact power would have over {_SIGN_BUDGET} bits")
     return r ** e

@@ -20,14 +20,13 @@ A prime p divides wgcd(x) exactly when p^(q_i) divides every nonzero
 x_i, so a gcd of tables of r_q(v) (``_radical``), carried down the
 coordinates, clears whole subtrees at once; only the rest pay ``wgcd``.
 
-The domain is cut into slices (``parts``), one per value of its first
-coordinate that takes more than one value.  With W workers, slice i
-is scanned by process i mod W: this one and W - 1 forked children, each
-of which enumerates, evaluates and renders its own slices.  The slices
-are merged in enumeration order, so the rows are the same for any
-worker count.  A failing slice ends its process's share, and the merge
-raises the error of the earliest failing slice in enumeration order:
-the error that one worker would have raised first.
+With W workers the domain is cut into at most W contiguous parts
+(``parts``), runs of the values of its first coordinate that takes more
+than one value, and each process scans one: this one the first, and
+W - 1 forked children the others, in order.  The parts are joined in
+enumeration order, so the rows are the same for any worker count, and
+the error raised is the earliest part's: the one a single worker meets
+first.
 
 Every row is made by one loop, ``_scan_part``, which takes the
 candidates block by block (a prefix and values of the last coordinate),
@@ -118,7 +117,7 @@ class ScanConfig(Record):
                 "the rhs exponent needs r - 1 + delta > 0 "
                 "(the inequality assumes codimension >= 2)"
             )
-        try:  # cached now, before any slice runs
+        try:  # cached now, before any part runs
             self.float_epsilon
             finite = math.isfinite(self.rhs_exponent)  # not at a delta below the float range
         except (OverflowError, ZeroDivisionError):
@@ -238,20 +237,23 @@ def s_units(primes: Sequence[int], max_value: int) -> list[int]:
     return sorted(values)
 
 
-# A slice of the domain: the list of values of each coordinate, the
-# leading ones fixed to a single value.
+# A part of the domain: the list of values of each coordinate.
 Part = tuple[Sequence[int], ...]
 # A block of candidates: (prefix, values), the points prefix + (v,).
 Block = tuple[tuple[int, ...], Sequence[int]]
 
 
-def parts(config: ScanConfig) -> list[Part]:
-    """The domain's slices in enumeration order: one per value of the
-    first coordinate that takes more than one value, none when some
-    coordinate takes none, and the whole domain when every one takes one."""
+def parts(config: ScanConfig, count: int = 1) -> list[Part]:
+    """The domain cut into at most ``count`` contiguous parts in enumeration
+    order: runs of the values of the first coordinate that takes more than
+    one value, of lengths that differ by at most one; none when some
+    coordinate takes no value."""
     values = config.coordinate_values
     i = min(range(len(values)), key=lambda j: (bool(values[j]), len(values[j]) == 1))
-    return [(*values[:i], (v,), *values[i + 1:]) for v in values[i]]
+    column, n = values[i], len(values[i])
+    count = min(count, n)
+    return [(*values[:i], column[n * k // count:n * (k + 1) // count], *values[i + 1:])
+            for k in range(count)]
 
 
 def prefix_blocks(
@@ -299,8 +301,8 @@ def primitive_tuples(lists: Sequence[Sequence[int]], radicals: Sequence[dict[int
 
 
 def candidate_points(config: ScanConfig, part: Part) -> Iterator[Block]:
-    """The slice's candidates in lexicographic order, in the blocks of
-    ``prefix_blocks``: its tuples with weighted GCD 1.  An S-unit slice
+    """The part's candidates in lexicographic order, in the blocks of
+    ``prefix_blocks``: its tuples with weighted GCD 1.  An S-unit part
     has x_0 = 1 and r(1) = 1, so the walk keeps it whole, a block per
     tuple of its middle coordinates, and calls no ``wgcd``."""
     return prefix_blocks(part, config.coordinate_radicals, config.weights)
@@ -418,30 +420,17 @@ def _scan_part(
     return total, exceptional_count, max_ratio, rows
 
 
-def _scan_share(config: ScanConfig, render: Renderer, share: Iterable[Part]) -> list:
-    """The results of the slices in order; an exception stands in for
-    the first slice that raises one, and ends the list."""
-    results = []
-    for part in share:
-        try:
-            blocks = candidate_points(config, part)  # looked up per call: a tracer may rebind it
-            results.append(_scan_part(config, render, blocks, config.coordinate_terms))
-        except Exception as exc:  # handed to the merge, which raises it in order
-            results.append(exc)
-            break
-    return results
-
-
 class _Child:
-    """A forked process that scans one share and sends its results back,
-    pickled, through a pipe.
+    """A forked process that scans one part and sends its result back,
+    pickled, through a pipe: the ``_scan_part`` tuple or the exception
+    it raised.
 
     The child leaves by ``os._exit``, so it never flushes the parent's
     stdio buffers or runs its exit handlers.  wproj starts no threads,
     so the fork copies a consistent interpreter; the config and the
     renderer are inherited, not pickled."""
 
-    def __init__(self, config: ScanConfig, render: Renderer, share: Sequence[Part]):
+    def __init__(self, config: ScanConfig, render: Renderer, part: Part):
         import pickle
 
         read_fd, write_fd = os.pipe()
@@ -450,7 +439,12 @@ class _Child:
             status = 1
             try:
                 os.close(read_fd)
-                data = pickle.dumps(_scan_share(config, render, share))
+                try:  # candidate_points is looked up per call: a tracer may rebind it
+                    result = _scan_part(config, render, candidate_points(config, part),
+                                        config.coordinate_terms)
+                except Exception as exc:  # raised by the parent, in order
+                    result = exc
+                data = pickle.dumps(result)
                 with os.fdopen(write_fd, "wb") as pipe:
                     pipe.write(data)  # all of it or, on a failure above, nothing
                 status = 0
@@ -460,8 +454,9 @@ class _Child:
         self.pipe = os.fdopen(read_fd, "rb")
         self.reaped = False
 
-    def results(self) -> list:
-        """Read the child's results, then reap it."""
+    def result(self) -> tuple[int, int, float, list]:
+        """Read the child's result, then reap it; raise the exception it
+        sent."""
         import pickle
 
         with self.pipe:
@@ -473,7 +468,10 @@ class _Child:
                 f"scan worker {self.pid} exited without a result "
                 f"(exit code {os.waitstatus_to_exitcode(status)})"
             )
-        return pickle.loads(data)
+        result = pickle.loads(data)
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def kill(self) -> None:
         if not self.reaped:
@@ -491,36 +489,31 @@ def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = scan_row
     ``ScanReport.rows`` holds the rows that ``render(prefix, values, lhs,
     rhs, ratio, exceptional)`` makes of each block of kept rows, in
     order: by default their ``ScanRow``s (``scan_rows``).  With
-    ``workers > 1`` the slices are shared out among this process and at
-    most ``os.cpu_count() - 1`` forked children (none where ``os.fork``
-    does not exist); the report is the same for any worker count, and so
-    is the error raised.
+    ``workers > 1`` the domain is cut into at most that many parts
+    (``parts``), one for this process and one for each of at most
+    ``os.cpu_count() - 1`` forked children (none where ``os.fork`` does
+    not exist); the report is the same for any worker count, and so is
+    the error raised.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    slices = parts(config)
     cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    workers = max(1, min(workers, cpus, len(slices)))  # slices[::0] would raise
+    cut = parts(config, min(workers, cpus))
     children: list[_Child] = []
     try:
-        for i in range(1, workers):
-            children.append(_Child(config, render, slices[i::workers]))
-        shares = [_scan_share(config, render, slices[::workers])]
-        shares += [child.results() for child in children]
+        for part in cut[1:]:
+            children.append(_Child(config, render, part))
+        # this process's part comes first, so its error is the earliest
+        results = [_scan_part(config, render, candidate_points(config, part),
+                              config.coordinate_terms) for part in cut[:1]]
+        results += [child.result() for child in children]
     finally:
         for child in children:
             child.kill()
     total = exceptional = 0
     max_ratio = -math.inf
     rows: list = []
-    # slice i is entry i // workers of share i % workers; a share that
-    # stopped early has raised before its padding is reached
-    for result in itertools.chain.from_iterable(itertools.zip_longest(*shares)):
-        if result is None:
-            continue
-        if isinstance(result, Exception):
-            raise result
-        part_total, part_exceptional, part_max, part_rows = result
+    for part_total, part_exceptional, part_max, part_rows in results:
         total += part_total
         exceptional += part_exceptional
         max_ratio = max(max_ratio, part_max)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .arith import RationalLike, as_fraction, parse_rational
+from .arith import RationalLike, as_fraction, exact_power, parse_rational
 from .errors import (
     ArityMismatch,
     MixedDegree,
@@ -135,11 +135,13 @@ def weighted_degree(f: WPolynomial):
 
 def scaled_value(terms: tuple[IntegerTerm, ...], xs: Sequence[RationalLike]) -> RationalLike:
     """D * f(xs) from the terms of f's integer form (D, terms): an int at
-    an int tuple, a Fraction at a Fraction tuple."""
+    an int tuple, a Fraction at a Fraction tuple; OutputTooLarge before
+    a power of a coordinate past ``arith.exact_power``'s budget (a
+    first power, the coordinate itself, is taken as it is)."""
     total = 0
     for a, powers in terms:
         for i, e in powers:
-            a *= xs[i] ** e
+            a *= xs[i] if e == 1 else exact_power(xs[i], e)
         total += a
     return total
 

@@ -412,10 +412,10 @@ def test_epsilon_and_delta_past_the_float_range_fail_before_any_slice(
 ):
     # once an OverflowError traceback with exit 1
     def refuse(*args):
-        raise AssertionError("a slice ran")
+        raise AssertionError("a part ran")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(wproj.scan, "_scan_share", refuse)
+    monkeypatch.setattr(wproj.scan, "_scan_part", refuse)
     monkeypatch.setattr(wproj.scan, "_Child", refuse)
     message = "epsilon, delta and codim must lie in the float range"
     record = f'{{"error": "float-overflow", "message": "{message}"}}\n'
@@ -439,10 +439,10 @@ def test_delta_below_the_float_range_fails_before_any_slice(monkeypatch, capsys,
     # 1e-400 was a ZeroDivisionError traceback with exit 1; 1e-320 printed
     # inf and nan, and bare inf in --format json
     def refuse(*args):
-        raise AssertionError("a slice ran")
+        raise AssertionError("a part ran")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(wproj.scan, "_scan_share", refuse)
+    monkeypatch.setattr(wproj.scan, "_scan_part", refuse)
     monkeypatch.setattr(wproj.scan, "_Child", refuse)
     message = "epsilon, delta and codim must lie in the float range"
     record = f'{{"error": "float-overflow", "message": "{message}"}}\n'
@@ -570,6 +570,17 @@ def test_a_huge_prime_power_value_is_factored_in_log_steps(argv, record):
     code, out, err = run_wproj(*argv, timeout=2)
     assert (code, err) == (0, "")
     assert json.loads(out) == record
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "[3:1]", "--weights", "(1,1)", "--divisor", "x0^2000000", "--place", "inf"),
+    ("global-height", "[3:1]", "--weights", "(1,1)", "--divisor", "x0^2000000"),
+])
+def test_a_generator_power_past_the_budget_is_refused_before_it_is_taken(argv):
+    # 3^2000000 has 3.2M bits; the zeta command spent 19.7 s taking its valuations
+    assert run_wproj(*argv, timeout=2) == (3, "", json.dumps({
+        "error": "output-too-large", "message": "an exact power would have over 1048576 bits",
+    }) + "\n")
 
 
 def test_scan_primality_past_the_bit_budget_is_the_same_error_for_any_worker_count():

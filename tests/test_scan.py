@@ -158,8 +158,8 @@ def test_scan_serializations_are_byte_identical():
 
 
 def test_scan_workers_match_sequential(monkeypatch):
-    # the README S-unit preset: more than two slices per process, and
-    # (1,1,1) is skipped on the subscheme
+    # the README S-unit preset, cut at x1 into two parts, and (1,1,1) is
+    # skipped on the subscheme
     w = Weights.of(1, 2, 3)
     config = ScanConfig(
         weights=w,
@@ -175,7 +175,7 @@ def test_scan_workers_match_sequential(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # fork a worker on any machine
     pooled = vojta_scan(config, workers=2)
     serial = vojta_scan(config)
-    assert len(wproj.scan.parts(config)) > 2 * 2
+    assert [len(part[1]) for part in wproj.scan.parts(config, 2)] == [71, 71]
     assert serial.skipped_on_subscheme == 1
     assert pooled.rows == serial.rows
     assert pooled.total_candidates == serial.total_candidates
@@ -190,29 +190,39 @@ def test_scan_workers_match_sequential(monkeypatch):
     make_config(domain=BoxDomain(((2, 2), (-3, 3), (-3, 3)))),
 ])
 def test_parts_concatenate_to_the_enumeration(config):
-    # the slices, in order, are the lexicographic enumeration of the domain
-    points = [p for part in wproj.scan.parts(config)
-              for p in block_points(wproj.scan.candidate_points(config, part))]
+    # the parts, in order, are the lexicographic enumeration of the domain,
+    # cut into runs of the first coordinate that takes more than one value
     if isinstance(config.domain, BoxDomain):
         box = itertools.product(*(range(lo, hi + 1) for lo, hi in config.domain.bounds))
         expected = [p for p in box if 0 not in p and wgcd(p, config.weights) == 1]
     else:
         units = s_units(config.domain.primes, config.domain.max_value)
         expected = [(1,) + tail for tail in itertools.product(units, repeat=2)]
-    assert points == expected
+    i, column = next((i, v) for i, v in enumerate(config.coordinate_values) if len(v) > 1)
+    for count in (1, 2, 3, len(column) + 1):
+        cut = wproj.scan.parts(config, count)
+        assert len(cut) == min(count, len(column))
+        assert [v for part in cut for v in part[i]] == list(column)
+        runs = [len(part[i]) for part in cut]
+        assert max(runs) - min(runs) <= 1
+        points = [p for part in cut
+                  for p in block_points(wproj.scan.candidate_points(config, part))]
+        assert points == expected
 
 
 @pytest.fixture
 def fake_children(monkeypatch):
-    """Replaces the forked child by a stand-in that scans its share in
-    this process when its results are read, and starts no process;
-    returns the share of every child the scans would have started."""
+    """Replaces the forked child by a stand-in that scans its part in
+    this process when its result is read, and starts no process;
+    returns the part of every child the scans would have started."""
     started = []
 
     class FakeChild:
-        def __init__(self, config, render, share):
-            started.append(share)
-            self.results = lambda: wproj.scan._scan_share(config, render, share)
+        def __init__(self, config, render, part):
+            started.append(part)
+            blocks = wproj.scan.candidate_points(config, part)
+            self.result = lambda: wproj.scan._scan_part(config, render, blocks,
+                                                        config.coordinate_terms)
 
         def kill(self):
             pass
@@ -237,13 +247,13 @@ def test_scan_rejects_workers_below_one(fake_children, capsys, workers):
 def test_scan_pool_is_capped_at_cpu_count(fake_children, monkeypatch):
     config = make_config(domain=BoxDomain.symmetric(2, 3))
     serial = vojta_scan(config)
-    slices = wproj.scan.parts(config)
+    thirds, halves = wproj.scan.parts(config, 3), wproj.scan.parts(config, 2)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert vojta_scan(config, workers=100_000).rows == serial.rows
-    # slice i goes to process i mod 3; this process scans slices[0::3]
-    assert fake_children == [slices[1::3], slices[2::3]]
+    # three parts; this process scans the first
+    assert fake_children == thirds[1:]
     assert vojta_scan(config, workers=2).rows == serial.rows
-    assert fake_children == [slices[1::3], slices[2::3], slices[1::2]]
+    assert fake_children == thirds[1:] + halves[1:]
     for cpus in (1, None):  # one CPU, or an unknown count: no child at all
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert vojta_scan(config, workers=100_000).rows == serial.rows
@@ -255,28 +265,45 @@ def test_scan_pool_is_capped_at_cpu_count(fake_children, monkeypatch):
 
 
 def test_scan_raises_the_earliest_failing_slice(fake_children, monkeypatch):
-    # slices 1 and 2 fail; slice 2 belongs to this process, slice 1 to a child
+    # three parts, x0 in 1..2, 3..4 and 5..6: this process's first part
+    # succeeds, and the second (at its last value) and the third both fail
     def render(prefix, *columns):
-        if prefix[0] in (2, 3):
-            raise ValueError(f"slice x0 = {prefix[0]}")
+        if prefix[0] in (4, 5):
+            raise ValueError(f"x0 = {prefix[0]}")
         return scan_rows(prefix, *columns)
 
-    config = make_config(domain=BoxDomain(((1, 5), (1, 2), (1, 2))))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for workers in (1, 2):
-        with pytest.raises(ValueError, match="^slice x0 = 2$"):
+    config = make_config(domain=BoxDomain(((1, 6), (1, 2), (1, 2))))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for workers in (1, 3):
+        with pytest.raises(ValueError, match="^x0 = 4$"):
             vojta_scan(config, workers=workers, render=render)
-    assert fake_children == [wproj.scan.parts(config)[1::2]]
+    assert fake_children == wproj.scan.parts(config, 3)[1:]
+    assert [part[0] for part in fake_children] == [[3, 4], [5, 6]]
 
 
 def test_parts_cut_at_the_first_coordinate_with_more_than_one_value(fake_children, monkeypatch):
-    # x0 takes one value, so the slices are cut at x1: one per nonzero value
+    # x0 takes one value, so the parts are cut at x1: runs of its nonzero values
     config = make_config(domain=BoxDomain(((2, 2), (-3, 3), (-3, 3))))
-    slices = wproj.scan.parts(config)
-    assert [part[:2] for part in slices] == [([2], (v,)) for v in (-3, -2, -1, 1, 2, 3)]
+    assert [part[:2] for part in wproj.scan.parts(config, 100)] == [
+        ([2], [v]) for v in (-3, -2, -1, 1, 2, 3)
+    ]
+    halves = wproj.scan.parts(config, 2)
+    assert [part[:2] for part in halves] == [([2], [-3, -2, -1]), ([2], [1, 2, 3])]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert vojta_scan(config, workers=2).rows == vojta_scan(config).rows
-    assert fake_children == [slices[1::2]]
+    assert fake_children == halves[1:]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_process_calls_the_row_loop_once(monkeypatch, workers):
+    # a forked child runs the loop in its own copy of this process, so
+    # the calls recorded here are this process's alone
+    config = make_config(domain=BoxDomain.symmetric(3, 3))
+    serial = vojta_scan(config)
+    calls = _counting(monkeypatch, wproj.scan, "_scan_part")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # fork a worker on any machine
+    assert vojta_scan(config, workers=workers).rows == serial.rows
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("domain", ["box:0", "box:0..0,-2..2,-2..2", "box:1..5,0..0,1..2"])

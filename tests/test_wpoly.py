@@ -10,6 +10,7 @@ from wproj.errors import (
     MixedDegree,
     NonIntegralExponent,
     NonIntegralValue,
+    OutputTooLarge,
     ParseError,
     ZeroPolynomial,
 )
@@ -248,3 +249,18 @@ def test_fix_prefix_merges_and_drops_terms():
     assert by_power(fix_prefix(g.integer_form, (2, 1))) == (
         2, {((2, 2),): 4, ((2, 1),): -2, (): 12}
     )
+
+
+def test_a_power_past_the_budget_is_refused_before_it_is_taken():
+    # n^e has at least e * (bit_length(n) - 1) + 1 bits: 2^(2^20) is refused, at an int
+    # or a Fraction coordinate, and so is a denominator; 1^e is never refused
+    w = Weights.of(1, 1)
+    f = parse_polynomial(f"x0^{1 << 20}-x1^{1 << 20}", w)
+    assert evaluate(f, (1, -1)) == 0
+    for point in [(2, 1), (Fraction(2), Fraction(1)), (Fraction(1, 2), Fraction(1))]:
+        with pytest.raises(OutputTooLarge):
+            evaluate(f, point)
+    with pytest.raises(OutputTooLarge):
+        fix_prefix(f.integer_form, (2,))
+    below = parse_polynomial(f"x0^{(1 << 20) - 1}", Weights.of(1))
+    assert evaluate(below, (2,)) == 2 ** ((1 << 20) - 1)
