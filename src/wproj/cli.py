@@ -383,13 +383,6 @@ def cmd_vojta_scan(args) -> int:
     return 0
 
 
-def format_audit_csv(report: AuditReport) -> str:
-    lines = ["point,log_hwgcd_zero,singular,counterexample"]
-    for row in report.counterexamples:
-        lines.append(f"{format_point(row.point)},true,false,true")
-    return "\n".join(lines) + "\n"
-
-
 def _json_list(items: list[str], depth: int) -> str:
     """Rendered JSON values as a list at this depth, laid out as indent=2 does."""
     if not items:
@@ -398,11 +391,65 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
+def _audit_csv_rows(prefix, values, tables) -> list[str]:
+    """A block's CSV counterexamples (a ``scan.AuditRenderer``), with the text
+    of the prefix made once, as ``_csv_rows``."""
+    head = "[" + "".join(f"{c}:" for c in prefix)
+    return [f"{head}{v}],true,false,true" for v in values]
+
+
+def _audit_json_rows():
+    """A ``scan.AuditRenderer`` of a block's counterexamples as ``json.dumps(...,
+    indent=2)`` lays them out in the counterexamples list, with the text of the
+    prefix made once, and each distinct valuation table's text once, in a cache
+    of its own: one renderer for one audit.  The texts hold ints, constants,
+    "inf" and point strings, so a template needs no escaping."""
+    tails: dict[tuple, str] = {}
+
+    def render(prefix, values, tables) -> list[str]:
+        head = '{\n      "point": "[' + "".join(f"{c}:" for c in prefix)
+        rows = []
+        for v, table in zip(values, tables):
+            tail = tails.get(table)
+            if tail is None:
+                valuations = [
+                    f'{{\n          "prime": {p},\n          "floors": '
+                    + _json_list([str(f) if f >= 0 else '"inf"' for f in floors], 5)
+                    + f',\n          "min": {minimum}\n        }}'
+                    for p, floors, minimum in table
+                ]
+                tail = tails[table] = (
+                    ']",\n      "log_hwgcd_zero": true,\n      "singular": false,\n'
+                    f'      "valuations": {_json_list(valuations, 3)}\n    }}'
+                )
+            rows.append(f"{head}{v}{tail}")
+        return rows
+
+    return render
+
+
+def _audit_texts(report: AuditReport, render) -> list[str]:
+    """The report's counterexamples as text.  ``cmd_sing1_audit`` has the
+    audit render them; a library caller's holds AuditRows, blocks of one."""
+    rows = report.counterexamples
+    if rows and not isinstance(rows[0], str):
+        return [text for row in rows
+                for text in render(row.point[:-1], row.point[-1:], [row.valuations])]
+    return rows
+
+
+def format_audit_csv(report: AuditReport) -> str:
+    lines = ["point,log_hwgcd_zero,singular,counterexample",
+             *_audit_texts(report, _audit_csv_rows)]
+    return "\n".join(lines) + "\n"
+
+
 def format_audit_json(report: AuditReport) -> str:
     """The audit record, byte for byte as ``json.dumps(record, indent=2)``,
     whose pure-Python encoder writes only the fixed-size head here; the
-    counterexamples hold ints, constants, "inf" and point strings, so a
-    template needs no escaping."""
+    counterexamples come from the ``_audit_json_rows`` template, as the
+    audit rendered them or, for a library report of AuditRows, one by one
+    here."""
     head = json.dumps({
         "weights": str(report.weights),
         "bound": report.bound,
@@ -413,35 +460,18 @@ def format_audit_json(report: AuditReport) -> str:
             "counterexamples": len(report.counterexamples),
         },
     }, indent=2)
-    rows = []
-    texts: dict = {}  # a (prime, floors, min) entry recurs across points
-    for row in report.counterexamples:
-        valuations = []
-        for entry in row.valuations:
-            text = texts.get(entry)
-            if text is None:
-                p, floors, minimum = entry
-                text = texts[entry] = (
-                    f'{{\n          "prime": {p},\n          "floors": '
-                    + _json_list([str(f) if f >= 0 else '"inf"' for f in floors], 5)
-                    + f',\n          "min": {minimum}\n        }}'
-                )
-            valuations.append(text)
-        rows.append(
-            f'{{\n      "point": "{format_point(row.point)}",\n'
-            '      "log_hwgcd_zero": true,\n      "singular": false,\n'
-            f'      "valuations": {_json_list(valuations, 3)}\n    }}'
-        )
-    return f'{head[:-2]},\n  "counterexamples": {_json_list(rows, 1)}\n}}\n'
+    rows = _json_list(_audit_texts(report, _audit_json_rows()), 1)
+    return f'{head[:-2]},\n  "counterexamples": {rows}\n}}\n'
 
 
 def cmd_sing1_audit(args) -> int:
     w = parse_weights(args.weights)
-    report = sing1_audit(w, args.bound)
-    text = (
-        format_audit_csv(report) if args.format == "csv" else format_audit_json(report)
-    )
-    sys.stdout.write(text)
+    if args.format == "csv":
+        render, write = _audit_csv_rows, format_audit_csv
+    else:
+        render, write = _audit_json_rows(), format_audit_json
+    report = sing1_audit(w, args.bound, render=render)
+    sys.stdout.write(write(report))
     return 0
 
 

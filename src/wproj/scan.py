@@ -19,6 +19,8 @@ for a scan only ``ScanConfig.coordinate_values`` decides (0 left out).
 A prime p divides wgcd(x) exactly when p^(q_i) divides every nonzero
 x_i, so a gcd of tables of r_q(v) (``_radical``), carried down the
 coordinates, clears whole subtrees at once; only the rest pay ``wgcd``.
+Both take the walk's blocks whole: the points prefix + (v,) that share
+all but their last coordinate.
 
 With W workers the domain is cut into at most W contiguous parts
 (``parts``), runs of the values of its first coordinate that takes more
@@ -48,10 +50,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .arith import (_SIGN_MARGIN, _TRIAL_LIMIT, ARCHIMEDEAN, RationalLike, log_sum_sign,
-                    max_term, s_part)
+from .arith import (_SIGN_BUDGET, _SIGN_MARGIN, _TRIAL_LIMIT, ARCHIMEDEAN, RationalLike,
+                    log_sum_sign, max_term, s_part)
 from .errors import (DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights,
-                     NonIntegralValue, ZeroInput)
+                     NonIntegralValue, OutputTooLarge, ZeroInput)
 # log_hwgcd is unused here; perfbench/tracing.py rebinds this name
 from .gcdops import Subscheme, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
@@ -293,13 +295,6 @@ def prefix_blocks(
     return blocks((), 0, 0)
 
 
-def primitive_tuples(lists: Sequence[Sequence[int]], radicals: Sequence[dict[int, int]],
-                     w: Weights) -> Iterator[tuple[int, ...]]:
-    """The tuples of ``prefix_blocks``, one by one."""
-    blocks = prefix_blocks(lists, radicals, w)
-    return itertools.chain.from_iterable(itertools.product(*zip(p), vs) for p, vs in blocks)
-
-
 def candidate_points(config: ScanConfig, part: Part) -> Iterator[Block]:
     """The part's candidates in lexicographic order, in the blocks of
     ``prefix_blocks``: its tuples with weighted GCD 1.  An S-unit part
@@ -325,10 +320,12 @@ def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow
 
 def _int_columns(forms: Sequence[IntegerForm], values: Sequence[int]):
     """(columns, error): per ``fix_prefix`` form, its ints at the values, by one
-    list pass per term, and the NonIntegralValue of the first row, at its first
-    form, with a value that is not an integer, or None; the columns then stop
-    before that row."""
-    columns, stop, error = [], len(values), None
+    list pass per term, and the error of the first row that has one, or None;
+    the columns then stop before that row.  A row's error is that of its first
+    failing form: a power a * v^e past _SIGN_BUDGET bits, refused before it is
+    taken as ``arith.exact_power`` refuses it (OutputTooLarge), or else a value
+    that is not an integer (NonIntegralValue)."""
+    columns, error = [], None
     for d, terms in forms:
         column = [0] * len(values)
         for a, powers in terms:  # a * v^e, with no power taken at e = 0 or 1
@@ -338,15 +335,20 @@ def _int_columns(forms: Sequence[IntegerForm], values: Sequence[int]):
             elif e == 1:
                 column = [s + a * v for s, v in zip(column, values)]
             else:
+                # v^e has at least e * (bit_length(v) - 1) + 1 bits: test the largest |v| first
+                if e * (max(map(abs, values), default=0).bit_length() - 1) >= _SIGN_BUDGET:
+                    values = values[:next(i for i, v in enumerate(values)
+                                          if e * (abs(v).bit_length() - 1) >= _SIGN_BUDGET)]
+                    error = OutputTooLarge(f"an exact power would have over {_SIGN_BUDGET} bits")
                 column = [s + a * v ** e for s, v in zip(column, values)]
         if d != 1:
-            bad = [i for i, v in enumerate(column[:stop]) if v % d]
+            bad = [i for i, v in enumerate(column[:len(values)]) if v % d]
             if bad:
-                stop = bad[0]
-                error = NonIntegralValue(f"{Fraction(column[stop], d)} is not an integer")
+                error = NonIntegralValue(f"{Fraction(column[bad[0]], d)} is not an integer")
+                values = values[:bad[0]]
             column = [v // d for v in column]
         columns.append(column)
-    return [column[:stop] for column in columns], error
+    return [column[:len(values)] for column in columns], error
 
 
 def _scan_part(
@@ -549,21 +551,32 @@ class AuditRow(Record):
         object.__setattr__(self, "valuations", valuations)
 
 
+# What an audit keeps of a block, its counterexamples prefix + (v,): the list made from
+# the prefix, their last coordinates and their valuation tables, AuditRows or their text
+AuditRenderer = Callable[[tuple[int, ...], Sequence[int], Sequence[tuple]], list]
+
+
+def audit_rows(prefix, values, tables) -> list[AuditRow]:
+    """A block's AuditRows: the default ``AuditRenderer``."""
+    return list(map(AuditRow, [prefix + (v,) for v in values], tables))
+
+
 class AuditReport(Record):
     weights: Weights
     bound: int
     total_points: int
     singular_points: int
-    counterexamples: list[AuditRow]
+    counterexamples: list  # the renderer's rows of each block, concatenated: AuditRows by default
 
 
-def _canonical_points(w: Weights, bound: int) -> Iterator[tuple[int, ...]]:
+def _canonical_points(w: Weights, bound: int) -> Iterator[Block]:
     """Normalized integral representatives with |x_i| <= bound, in
     lexicographic order: the sign-canonical tuples with weighted GCD 1,
-    walked block by block with the scan's r_i(v) (``_radical``)."""
+    in the blocks of ``prefix_blocks`` run with the scan's r_i(v)
+    (``_radical``) over each of ``sign_canonical_blocks``."""
     radicals = tuple({v: _radical(v, q) for v in range(-bound, bound + 1)} for q in w.q)
     blocks = sign_canonical_blocks(w.q, bound)
-    return itertools.chain.from_iterable(primitive_tuples(b, radicals, w) for b in blocks)
+    return itertools.chain.from_iterable(prefix_blocks(b, radicals, w) for b in blocks)
 
 
 def _valuation_floors(w: Weights, bound: int) -> tuple[dict, ...]:
@@ -590,7 +603,7 @@ def _valuation_table(point: tuple[int, ...], floors: tuple[dict, ...]):
     return tuple(table)
 
 
-def sing1_audit(w: Weights, bound: int) -> AuditReport:
+def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> AuditReport:
     """Check "log hwgcd = 0 implies singular" on a coordinate box.
 
     Enumerates normalized integral points with coordinates bounded by
@@ -603,8 +616,16 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
     = 0, and each archimedean term max(-log|x_i|, 0) is 0 as |x_i| >= 1.
     Singularity depends only on the support, so ``is_singular`` runs once
     per support (at most 2^n - 1 times) and its answer is reused.  Each
-    |v| <= bound is factored once, and a point's floors are read from
-    the per-coordinate tables of ``_valuation_floors``.
+    |v| <= bound is factored once (``_valuation_floors``), and v and -v
+    have the same floors, so a point's valuation table is a function of
+    (|x_0|, ..., |x_n|), built once for each.
+
+    The points come in the blocks of ``_canonical_points``, a prefix and
+    values of the last coordinate; within a block the support turns only
+    on whether v is 0.  ``AuditReport.counterexamples`` holds the rows
+    that ``render(prefix, values, tables)`` makes of each block's
+    nonsingular values and their tables, in order: by default their
+    ``AuditRow``s (``audit_rows``).
     """
     if bound < 0:
         raise ValueError(f"the audit bound must be non-negative, got {bound}")
@@ -612,19 +633,38 @@ def sing1_audit(w: Weights, bound: int) -> AuditReport:
         raise IllFormedWeights(f"weights {w} are not well-formed")
     total = 0
     singular_count = 0
-    counterexamples: list[AuditRow] = []
+    counterexamples: list = []
     by_support: dict[tuple[bool, ...], bool] = {}
-    floors = _valuation_floors(w, bound)
-    for point in _canonical_points(w, bound):
-        total += 1
+
+    def singular(point: tuple[int, ...]) -> bool:
         support = tuple(map(bool, point))
-        singular = by_support.get(support)
-        if singular is None:
-            singular = by_support[support] = is_singular(WPoint.of(point, w))
-        if singular:
-            singular_count += 1
-        else:
-            counterexamples.append(AuditRow(point, _valuation_table(point, floors)))
+        verdict = by_support.get(support)
+        if verdict is None:
+            verdict = by_support[support] = is_singular(WPoint.of(point, w))
+        return verdict
+
+    floors = _valuation_floors(w, bound)
+    tables: dict[tuple[int, ...], dict[int, tuple]] = {}  # |prefix| -> {|v|: table}
+    for prefix, values in _canonical_points(w, bound):
+        total += len(values)
+        # within a block the support turns only on whether v is 0
+        nonzero = next((v for v in values if v), 0)
+        drop_zero = 0 in values and singular(prefix + (0,))
+        drop_nonzero = nonzero != 0 and singular(prefix + (nonzero,))
+        kept = values
+        if drop_zero or drop_nonzero:
+            kept = [v for v in values if not (drop_nonzero if v else drop_zero)]
+        singular_count += len(values) - len(kept)
+        if not kept:
+            continue
+        head = tuple(map(abs, prefix))
+        column = tables.get(head)
+        if column is None:
+            column = tables[head] = {}
+        magnitudes = list(map(abs, kept))
+        for a in set(magnitudes).difference(column):
+            column[a] = _valuation_table(head + (a,), floors)
+        counterexamples += render(prefix, kept, list(map(column.__getitem__, magnitudes)))
     return AuditReport(
         weights=w,
         bound=bound,

@@ -101,7 +101,9 @@ def sign_canonical_tuples(q, bound):
 
 
 def block_points(blocks):
-    """The points of ``wproj.scan.candidate_points``'s blocks, in order."""
+    """The points of ``wproj.scan.prefix_blocks``'s (prefix, values) blocks,
+    in order, as ``candidate_points`` and the audit's ``_canonical_points``
+    yield them."""
     return [prefix + (v,) for prefix, values in blocks for v in values]
 
 

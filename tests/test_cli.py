@@ -583,6 +583,16 @@ def test_a_generator_power_past_the_budget_is_refused_before_it_is_taken(argv):
     }) + "\n")
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_column_power_past_the_budget_is_refused_before_it_is_taken(workers):
+    # the scan printed its rows after 41.9 s, spent on the 2M-bit values of the last column
+    argv = ("vojta-scan", "--weights", "(1,1)", "--generators", "x1^2000000-x0*x1^1999999",
+            "--domain", "box:2", "--delta", "1", "--workers", workers)
+    assert run_wproj(*argv, timeout=2) == (3, "", json.dumps({
+        "error": "output-too-large", "message": "an exact power would have over 1048576 bits",
+    }) + "\n")
+
+
 def test_scan_primality_past_the_bit_budget_is_the_same_error_for_any_worker_count():
     # the lhs gcd factors x1^100000 - x0^100000, reached through _wgcd_value
     argv = ("vojta-scan", "--weights", "(1,1,1)", "--generators", "x1^100000-x0^100000;x2-x0",
@@ -764,6 +774,44 @@ def test_benchmark_commands_keep_their_bytes(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sing1-audit --bound 11 at each permutation of (2,3,5): (CSV, JSON) sha256 of stdout
+AUDIT_DIGESTS = {
+    "(2,3,5)": ("110f27ca9e939fe5ece3a99adc9093fb25d67024672e2249814e194ffeaa1af6",
+                "ac431e4d80b837544cd3f63d535aebdb95802bcd1285f78c554285ef91472a5c"),
+    "(2,5,3)": ("d161af08aa9212a316d0a4e0fa7dc6fd4c719a19dc014887d91950dd732a79dc",
+                "c4845597270c7c4410e29023519205b79cf1bd7249dd638f9de7b75cff664e2f"),
+    "(3,2,5)": ("dfc8959d09f0837f3fd91d5b83e5e0e4a890962a786ab3d5a835b29db48f12c9",
+                "c6e3f1ac43e515457cf22d4fa16e36289b15745f2565d547308443e2b8f3c1a6"),
+    "(3,5,2)": ("5e859b5918014dfc0de4f9f9b9f460f35170993337dca31603ca54301d902dcc",
+                "7b32593ab231422ec236259a46cf0c456f2d62e5920c8318e16aa44a29fe50df"),
+    "(5,2,3)": ("3156e8e60cb3e2909a15713156b00dde6f1f521d4deb80fa964446418720f676",
+                "6a0fca46258beeea1d699c2ad0aa14ac58e9acac40b07cf907104e381743c2e2"),
+    "(5,3,2)": ("1daccd029525a7e85d15d3c148ad4ff7afdc5443d43e8b81373d4069cdf9e447",
+                "380156607fa4ff53ed1f2926507f51127a781ebc5d3deae193822b7cc29a76b8"),
+}
+
+
+def _audit_digest(capsys, weights, fmt):
+    code, out, err = run_cli(capsys, "sing1-audit", "--weights", weights, "--bound", "11",
+                             "--format", fmt)
+    assert code == 0, err
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, weights", [(1, "(2,5,3)"), (2, "(2,3,5)")])
+def test_benchmark_audits_at_other_seeds_keep_their_bytes(capsys, seed, weights):
+    # the benchmark's audit draws its weights by seed (perfbench/workloads.py)
+    assert _audit_digest(capsys, weights, "json") == AUDIT_DIGESTS[weights][1]
+
+
+def test_audits_in_one_process_keep_their_bytes(capsys):
+    # each audit renders from caches of its own: one that outlived its audit
+    # would show here, at the next weights
+    for weights, digests in [*AUDIT_DIGESTS.items(), *AUDIT_DIGESTS.items()]:
+        assert (_audit_digest(capsys, weights, "csv"),
+                _audit_digest(capsys, weights, "json")) == digests, weights
 
 
 @pytest.mark.parametrize("argv, line", [

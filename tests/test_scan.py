@@ -23,16 +23,18 @@ from wproj.errors import (
     FloatOverflow,
     IllFormedWeights,
     NonIntegralValue,
+    OutputTooLarge,
     ZeroInput,
 )
 from wproj.gcdops import Subscheme, log_hwgcd, wgcd
 from wproj.scan import (
+    AuditRow,
     BoxDomain,
     ScanConfig,
     ScanRow,
     SUnitGrid,
     evaluate_point,
-    primitive_tuples,
+    prefix_blocks,
     s_units,
     scan_rows,
     sing1_audit,
@@ -41,7 +43,7 @@ from wproj.scan import (
 from wproj.points import WPoint, normalize, sign_canon
 from wproj.singular import is_singular
 from wproj.weights import Weights
-from wproj.wpoly import WPolynomial, evaluate, parse_polynomial, scaled_value
+from wproj.wpoly import WPolynomial, evaluate, fix_prefix, parse_polynomial, scaled_value
 
 from helpers import block_points, sign_canonical_tuples
 
@@ -381,6 +383,47 @@ def test_block_errors_come_in_row_order(monkeypatch, capsys, generators, error, 
     _assert_no_child_left()
 
 
+TOO_LARGE = ("output-too-large", "an exact power would have over 1048576 bits")
+HUGE = "x1^2000000-x0^2000000"  # at x0 = 1: 2^2000000 is past the budget, 1 is not
+
+
+@pytest.mark.parametrize("generators, values, error", [
+    # the rows before the refused one are kept; 3^2000000 is never taken
+    ((HUGE, "1/2*x1-1/2*x0"), [1, -1, 3, 5], TOO_LARGE),
+    # one row, a non-integral value at the first form and a refused power at the second
+    (("1/2*x1", HUGE), [-3, 2], ("non-integral-value", "-3/2 is not an integer")),
+    # and the other way round: the first form's power is refused first
+    ((HUGE, "1/2*x1"), [-3, 2], TOO_LARGE),
+    # a later form's non-integral value in an earlier row wins
+    ((HUGE, "1/2*x1"), [0, 1, 2], ("non-integral-value", "1/2 is not an integer")),
+    ((HUGE,), [1, -1], None),
+])
+def test_column_powers_past_the_budget_are_refused_in_row_order(generators, values, error):
+    w = Weights.of(1, 1)
+    forms = [fix_prefix(parse_polynomial(g, w).integer_form, (1,)) for g in generators]
+    columns, raised = wproj.scan._int_columns(forms, values)
+    stop = len(columns[0])
+    assert stop < len(values) if error else stop == len(values)
+    assert error == (raised and (raised.code, str(raised)))
+    for g, column in zip(generators, columns):
+        f = parse_polynomial(g, w)
+        assert column == [int(evaluate(f, (1, v))) for v in values[:stop]]
+
+
+def test_a_scan_power_past_the_budget_is_refused_in_row_order(monkeypatch, capsys):
+    # 2^600000 and 3^600000 are within the budget, and their rows' lhs is a
+    # gcd with x1 - x0; 4^600000 is refused at [1:4], and [2:4] in the other part
+    _forking(monkeypatch)
+    argv = ["vojta-scan", "--weights", "(1,1)", "--generators", "x1^600000-x0^600000;x1-x0",
+            "--gcd-weights", "(1,1)", "--domain", "box:1..2,1..6", "--delta", "1"]
+    for workers in ("1", "2"):
+        assert main(argv + ["--workers", workers]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == json.dumps(dict(zip(("error", "message"), TOO_LARGE))) + "\n"
+    _assert_no_child_left()
+
+
 def test_interrupt_kills_and_reaps_the_children(monkeypatch):
     parent = _forking(monkeypatch)
 
@@ -671,7 +714,7 @@ def test_walk_is_the_wgcd_filter(inputs):
     w, lists = inputs
     radicals = [{v: wproj.scan._radical(v, q) for v in values} for values, q in zip(lists, w.q)]
     expected = [p for p in itertools.product(*lists) if any(p) and wgcd(p, w) == 1]
-    assert list(primitive_tuples(lists, radicals, w)) == expected
+    assert block_points(prefix_blocks(lists, radicals, w)) == expected
 
 
 def test_walk_tables_factor_no_large_value(monkeypatch):
@@ -706,7 +749,7 @@ def test_walk_calls_wgcd_only_to_reject(monkeypatch):
 
 
 def _canonical_points(w, bound):
-    return list(wproj.scan._canonical_points(w, bound))
+    return block_points(wproj.scan._canonical_points(w, bound))
 
 
 def _assert_log_hwgcd_vanishes(w, bound):
@@ -786,6 +829,30 @@ def test_sing1_audit_singularity_per_point(q):
     assert report.total_points == len(points)
     assert report.singular_points == len(points) - len(nonsingular)
     assert [row.point for row in report.counterexamples] == nonsingular
+
+
+def _audit_reference(w, bound):
+    """(points, singular points, counterexamples) point by point: the walk's
+    points, ``is_singular`` and a ``_valuation_table`` at each, in walk order."""
+    floors = wproj.scan._valuation_floors(w, bound)
+    points = _canonical_points(w, bound)
+    nonsingular = [p for p in points if not is_singular(WPoint.of(p, w))]
+    rows = [AuditRow(p, wproj.scan._valuation_table(p, floors)) for p in nonsingular]
+    return len(points), len(points) - len(nonsingular), rows
+
+
+@pytest.mark.parametrize("q, bounds", [
+    *((q, range(9)) for q in itertools.permutations((2, 3, 5))),
+    ((1, 4, 6, 9), [3]),
+])
+def test_audit_by_blocks_is_the_per_point_audit(q, bounds):
+    # tables built once per |x| and singularity decided per block
+    w = Weights.of(*q)
+    for bound in bounds:
+        report = sing1_audit(w, bound)
+        reference = _audit_reference(w, bound)
+        assert (report.total_points, report.singular_points) == reference[:2], bound
+        assert report.counterexamples == reference[2], bound
 
 
 def test_sing1_audit_stays_off_the_fraction_path(monkeypatch):
