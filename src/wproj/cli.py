@@ -36,6 +36,8 @@ from .scan import (
     ScanConfig,
     ScanReport,
     SUnitGrid,
+    audit_rows,
+    scan_rows,
     sing1_audit,
     vojta_scan,
 )
@@ -306,30 +308,59 @@ def _config_record(config: ScanConfig) -> dict:
     }
 
 
-def _csv_rows(prefix, values, lhs, rhs, ratio, exceptional) -> list[str]:
-    """A block's CSV rows (a ``scan.Renderer``): the points' text, as
-    ``format_point``'s, up to their last coordinate is made once."""
-    head = "[" + "".join(f"{c}:" for c in prefix)
-    return [f"{head}{v}],{a},{r:.12g},{q:.12g},{'true' if e else 'false'}"
-            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
+def _csv_rows():
+    """A ``scan.Renderer`` of a block's CSV rows, made for one scan: the
+    points' text, as ``format_point``'s, up to their last coordinate is made
+    once per block, and each distinct float's text once per scan, in a cache
+    of its own (its keys are rhs >= 1 and ratio > 0, so never -0.0, which
+    would share 0.0's entry)."""
+    texts: dict[float, str] = {}
+
+    def render(prefix, values, lhs, rhs, ratio, exceptional) -> list[str]:
+        texts.update({r: f"{r:.12g}" for r in set(rhs).union(ratio).difference(texts)})
+        head = "[" + "".join(f"{c}:" for c in prefix)
+        return [f"{head}{v}],{a},{texts[r]},{texts[q]},{'true' if e else 'false'}"
+                for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
+
+    render.factory = _csv_rows
+    return render
 
 
-def _json_rows(prefix, values, lhs, rhs, ratio, exceptional) -> list[str]:
-    """A block's rows as ``json.dumps(..., indent=2)`` lays them out in the rows list, as
-    ``_csv_rows``: the point text needs no escaping, and a float's JSON text is its repr."""
-    head = '{\n      "point": "[' + "".join(f"{c}:" for c in prefix)
-    return [f'{head}{v}]",\n      "lhs": {a},\n      "rhs": {_real(r)!r},\n      "ratio": '
-            f'{_real(q)!r},\n      "exceptional": {"true" if e else "false"}\n    }}'
-            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
+def _json_rows():
+    """A ``scan.Renderer`` of a block's rows as ``json.dumps(..., indent=2)``
+    lays them out in the rows list, made for one scan, with texts made once
+    as ``_csv_rows`` makes them: the point text needs no escaping, and a
+    float's JSON text is the repr of its 12-digit rounding."""
+    texts: dict[float, str] = {}
+
+    def render(prefix, values, lhs, rhs, ratio, exceptional) -> list[str]:
+        texts.update({r: repr(_real(r)) for r in set(rhs).union(ratio).difference(texts)})
+        head = '{\n      "point": "[' + "".join(f"{c}:" for c in prefix)
+        return [f'{head}{v}]",\n      "lhs": {a},\n      "rhs": {texts[r]},\n      "ratio": '
+                f'{texts[q]},\n      "exceptional": {"true" if e else "false"}\n    }}'
+                for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
+
+    render.factory = _json_rows
+    return render
 
 
-def _row_texts(report: ScanReport, render) -> list[str]:
-    """The report's rows as text.  ``cmd_vojta_scan`` has the scan's
-    workers render them; a library caller's holds ScanRows, blocks of one."""
-    if report.rows and not isinstance(report.rows[0], str):
-        return [text for p, *fields in report.rows
-                for text in render(p[:-1], p[-1:], *([field] for field in fields))]
-    return report.rows
+def _rendered(rows: list, made_by, renderer) -> list[str]:
+    """``rows`` as the renderer ``made_by`` made them, which must be one that
+    the factory ``renderer`` made: another writer's text raises ValueError."""
+    if getattr(made_by, "factory", None) is not renderer:
+        raise ValueError(f"the report's rows were not rendered by {renderer.__name__}()")
+    return rows
+
+
+def _row_texts(report: ScanReport, renderer) -> list[str]:
+    """The report's rows as the text of ``renderer()``.  ``cmd_vojta_scan``
+    has the scan's workers render them; a library caller's holds ScanRows,
+    rendered here as blocks of one."""
+    if report.render is not scan_rows:
+        return _rendered(report.rows, report.render, renderer)
+    render = renderer()
+    return [text for p, *fields in report.rows
+            for text in render(p[:-1], p[-1:], *([field] for field in fields))]
 
 
 def format_scan_csv(report: ScanReport) -> str:
@@ -375,9 +406,9 @@ def cmd_vojta_scan(args) -> int:
         codim=args.codim,
     )
     if args.format == "csv":
-        render, write = _csv_rows, format_scan_csv
+        render, write = _csv_rows(), format_scan_csv
     else:
-        render, write = _json_rows, format_scan_json
+        render, write = _json_rows(), format_scan_json
     report = vojta_scan(config, workers=args.workers, render=render)
     sys.stdout.write(write(report))
     return 0
@@ -391,11 +422,16 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def _audit_csv_rows(prefix, values, tables) -> list[str]:
-    """A block's CSV counterexamples (a ``scan.AuditRenderer``), with the text
+def _audit_csv_rows():
+    """A ``scan.AuditRenderer`` of a block's CSV counterexamples, with the text
     of the prefix made once, as ``_csv_rows``."""
-    head = "[" + "".join(f"{c}:" for c in prefix)
-    return [f"{head}{v}],true,false,true" for v in values]
+
+    def render(prefix, values, tables) -> list[str]:
+        head = "[" + "".join(f"{c}:" for c in prefix)
+        return [f"{head}{v}],true,false,true" for v in values]
+
+    render.factory = _audit_csv_rows
+    return render
 
 
 def _audit_json_rows():
@@ -425,17 +461,20 @@ def _audit_json_rows():
             rows.append(f"{head}{v}{tail}")
         return rows
 
+    render.factory = _audit_json_rows
     return render
 
 
-def _audit_texts(report: AuditReport, render) -> list[str]:
-    """The report's counterexamples as text.  ``cmd_sing1_audit`` has the
-    audit render them; a library caller's holds AuditRows, blocks of one."""
+def _audit_texts(report: AuditReport, renderer) -> list[str]:
+    """The report's counterexamples as the text of ``renderer()``, as
+    ``_row_texts``: ``cmd_sing1_audit`` has the audit render them; a library
+    caller's holds AuditRows, rendered here as blocks of one."""
     rows = report.counterexamples
-    if rows and not isinstance(rows[0], str):
-        return [text for row in rows
-                for text in render(row.point[:-1], row.point[-1:], [row.valuations])]
-    return rows
+    if report.render is not audit_rows:
+        return _rendered(rows, report.render, renderer)
+    render = renderer()
+    return [text for row in rows
+            for text in render(row.point[:-1], row.point[-1:], [row.valuations])]
 
 
 def format_audit_csv(report: AuditReport) -> str:
@@ -460,14 +499,14 @@ def format_audit_json(report: AuditReport) -> str:
             "counterexamples": len(report.counterexamples),
         },
     }, indent=2)
-    rows = _json_list(_audit_texts(report, _audit_json_rows()), 1)
+    rows = _json_list(_audit_texts(report, _audit_json_rows), 1)
     return f'{head[:-2]},\n  "counterexamples": {rows}\n}}\n'
 
 
 def cmd_sing1_audit(args) -> int:
     w = parse_weights(args.weights)
     if args.format == "csv":
-        render, write = _audit_csv_rows, format_audit_csv
+        render, write = _audit_csv_rows(), format_audit_csv
     else:
         render, write = _audit_json_rows(), format_audit_json
     report = sing1_audit(w, args.bound, render=render)

@@ -18,9 +18,9 @@ gcd-prefix walk (``prefix_blocks``) over per-coordinate values, which
 for a scan only ``ScanConfig.coordinate_values`` decides (0 left out).
 A prime p divides wgcd(x) exactly when p^(q_i) divides every nonzero
 x_i, so a gcd of tables of r_q(v) (``_radical``), carried down the
-coordinates, clears whole subtrees at once; only the rest pay ``wgcd``.
-Both take the walk's blocks whole: the points prefix + (v,) that share
-all but their last coordinate.
+coordinates, clears whole subtrees at once; only the rest factor that
+gcd (``_wgcd_above_one``).  Both take the walk's blocks whole: the
+points prefix + (v,) that share all but their last coordinate.
 
 With W workers the domain is cut into at most W contiguous parts
 (``parts``), runs of the values of its first coordinate that takes more
@@ -32,8 +32,11 @@ first.
 
 Every row is made by one loop, ``_scan_part``, which takes the
 candidates block by block (a prefix and values of the last coordinate),
-does the work of the prefix once, evaluates each generator over the
-values as one column of ints and renders the kept rows by one call.
+does the work of the prefix once and makes each stage of the rows as a
+column: the generator values, lhs, rhs, ratio and the verdict.  lhs is
+the plain gcd, one C call a row, factored only at the rows where the
+prefix's constant generator values leave a prime open (``_lhs_column``),
+and the kept rows are rendered by one call.
 The candidates are tuples of ints of the right length, not all zero,
 so the loop checks only that each generator value is an integer; a
 point from outside enters through ``evaluate_point``, which makes the
@@ -45,16 +48,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
+from . import arith
 from .arith import (_SIGN_BUDGET, _SIGN_MARGIN, _TRIAL_LIMIT, ARCHIMEDEAN, RationalLike,
                     log_sum_sign, max_term, s_part)
 from .errors import (DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights,
-                     NonIntegralValue, OutputTooLarge, ZeroInput)
-# log_hwgcd is unused here; perfbench/tracing.py rebinds this name
+                     NonIntegralValue, OutputTooLarge, WProjError, ZeroInput)
+# log_hwgcd and wgcd are unused here; perfbench/tracing.py rebinds these names
 from .gcdops import Subscheme, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
 from .points import WPoint, format_point, sign_canon, sign_canonical_blocks
@@ -178,16 +183,15 @@ def _radical(v: int, q: int) -> int:
     and the audit: the product of the primes p with p^q | v, below
     _TRIAL_LIMIT, where factoring |v| takes trial division by at most 85
     numbers; |v| at 0, at q = 1 (it has the primes of r_1(v)) and from
-    _TRIAL_LIMIT up.  There |v| is a multiple of r_q(v), which ``wgcd``
-    corrects at the leaves of ``prefix_blocks``: a table entry never
+    _TRIAL_LIMIT up.  There |v| is a multiple of r_q(v), which the leaves
+    of ``prefix_blocks`` correct (``_wgcd_above_one``): a table entry never
     costs a rho split, nor trial division up to 2^16 (milliseconds at
     |v| near 2^32, where the tuples' weighted GCDs cost microseconds)."""
     v = abs(v)
     if q == 1 or not 0 < v < _TRIAL_LIMIT:
         return v
-    from .arith import factorize  # looked up per call: a tracer may rebind it
-
-    return math.prod(p for p, e in factorize(v).factors if e >= q)
+    # arith.factorize is looked up per call: a tracer may rebind it
+    return math.prod(p for p, e in arith.factorize(v).factors if e >= q)
 
 
 class ScanRow(NamedTuple):
@@ -215,6 +219,7 @@ class ScanReport(Record):
     total_candidates: int
     exceptional_count: int
     max_ratio: float
+    render: Renderer = scan_rows  # the renderer that made the rows
 
     @property
     def skipped_on_subscheme(self) -> int:
@@ -271,16 +276,17 @@ def prefix_blocks(
     imposes nothing), and g = 1 proves wgcd(x) = 1.  The walk carries g
     down the coordinates: once it is 1 the subtree is kept with no check,
     a block per tuple of its middle coordinates; at the last coordinate
-    g = 0 is the all-zero tuple, and a value with g > 1 is decided by
-    ``wgcd``, so the answer stays exact for any table that is a multiple
-    of the exact one.  A block with no value left is not yielded."""
+    g = 0 is the all-zero tuple, and a value with g > 1 is decided by the
+    primes of g, which every prime of wgcd(x) divides (``_wgcd_above_one``),
+    so the answer stays exact for any table that is a multiple of the exact
+    one.  A block with no value left is not yielded."""
     last = len(lists) - 1
 
     def blocks(prefix: tuple[int, ...], g: int, i: int) -> Iterator[Block]:
         values, radical = lists[i], radicals[i]
         if i == last:
             kept = [v for v in values if (h := math.gcd(g, radical[v])) == 1
-                    or h and wgcd(prefix + (v,), w) == 1]
+                    or h and not _wgcd_above_one(prefix + (v,), h, w)]
             if kept:
                 yield prefix, kept
             return
@@ -295,11 +301,26 @@ def prefix_blocks(
     return blocks((), 0, 0)
 
 
+def _wgcd_above_one(point: tuple[int, ...], h: int, w: Weights) -> bool:
+    """wgcd(point) > 1, given h > 1 that every prime of wgcd(point) divides,
+    at a point with a nonzero coordinate: whether some prime p of h has
+    p^(q_i) | x_i for every nonzero x_i.  With the tables of ``_radical``
+    the walk's h divides the point's plain gcd, so factoring it is never
+    harder than the factoring ``wgcd`` does."""
+    for p in arith.factorize(h).primes():  # looked up per call: a tracer may rebind it
+        for x, q in zip(point, w.q):
+            if x % p ** q:  # a zero coordinate imposes nothing
+                break
+        else:
+            return True
+    return False
+
+
 def candidate_points(config: ScanConfig, part: Part) -> Iterator[Block]:
     """The part's candidates in lexicographic order, in the blocks of
     ``prefix_blocks``: its tuples with weighted GCD 1.  An S-unit part
     has x_0 = 1 and r(1) = 1, so the walk keeps it whole, a block per
-    tuple of its middle coordinates, and calls no ``wgcd``."""
+    tuple of its middle coordinates, and decides no leaf."""
     return prefix_blocks(part, config.coordinate_radicals, config.weights)
 
 
@@ -351,6 +372,59 @@ def _int_columns(forms: Sequence[IntegerForm], values: Sequence[int]):
     return [column[:len(values)] for column in columns], error
 
 
+def _lhs_column(fixed: Sequence[IntegerForm], columns: list[list[int]], plain: list[int],
+                w: Weights):
+    """(lhs, error): per row of the columns, whose plain gcds are ``plain``
+    (none 0), the weighted GCD (weights w) of its generator values, and the
+    error of the first row whose ``_wgcd_value`` raised, or None; the column
+    then stops before that row.
+
+    With every weight 1 the plain gcd g is the answer.  Otherwise a prime p
+    of the weighted GCD has p^(q_j) | c_j for every nonzero value c_j of a
+    form that ``fix_prefix`` left constant, so p divides r = gcd_j
+    r_(q_j)(c_j) (``_radical``, the walk's table rule; 0 when there is no
+    such form) as well as g: gcd(g, r) = 1 proves the weighted GCD 1, and
+    only the other rows call ``_wgcd_value``."""
+    if w.m == 1 or not plain:
+        return plain, None
+    r = 0
+    for (_, terms), column, q in zip(fixed, columns, w.q):
+        if len(terms) == 1 and not terms[0][1]:  # a nonzero constant, a * x_k^0
+            r = math.gcd(r, _radical(column[0], q))
+    gcd = math.gcd
+    lhs = [g if gcd(g, r) > 1 else 1 for g in plain]
+    for i in [i for i, g in enumerate(lhs) if g > 1]:
+        try:
+            lhs[i] = _wgcd_value([column[i] for column in columns], w)
+        except WProjError as exc:  # raised after the rows before it
+            return lhs[:i], exc
+    return lhs, None
+
+
+def _float_overflow(point: tuple[int, ...], log_rhs: float, lhs: int) -> FloatOverflow | None:
+    """The FloatOverflow of a row whose rhs = e^(log rhs) or lhs / rhs leaves
+    the float range, or None."""
+    try:
+        lhs / math.exp(log_rhs)
+    except OverflowError:
+        return FloatOverflow(
+            f"the row at {format_point(point)} leaves the float range "
+            f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
+        )
+    return None
+
+
+def _tie_verdict(config: ScanConfig, point: tuple[int, ...], lhs: int, stripped: int) -> bool:
+    """lhs > rhs at a row where the floats cannot tell: the sign of log lhs -
+    log rhs, a sum of three logs of ints, decided by ``log_sum_sign`` at the
+    first coordinate k where |x_k|^(1/q_k) is the max (``arith.max_term``)."""
+    q = config.weights.q
+    k, _ = max_term(point, veronese_data(config.weights).exps, ARCHIMEDEAN)
+    s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
+    log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
+    return log_sum_sign(log_terms) > 0
+
+
 def _scan_part(
     config: ScanConfig, render: Renderer, blocks: Iterable[Block],
     tables: Sequence[dict[int, tuple[float, int]]],
@@ -360,63 +434,77 @@ def _scan_part(
     The blocks are ``candidate_points``'s: their points are int tuples of
     the right length, not all zero, and only the generator values are
     checked (NonIntegralValue); they stay ints up to lhs.  A point where
-    every generator vanishes is a candidate with no row.  Per block, the
-    generators are fixed at the prefix (``wpoly.fix_prefix``) and
-    evaluated as columns (``_int_columns``), and the prefix's max of
-    log|x_i|/q_i and product of prime-to-S parts are read from
-    ``tables`` (``ScanConfig.terms``); the prime-to-S part is
-    multiplicative, so times the last coordinate's it is s_part(x_0 ...
-    x_n, S).  The floats decide lhs > rhs unless lhs / rhs is within
-    ``arith._SIGN_MARGIN`` of 1, far above their rounding error.  There
-    the sign of log lhs - log rhs, a sum of three logs of ints, is
-    decided exactly by ``log_sum_sign``, at the first coordinate k
-    where |x_k|^(1/q_k) is the max (``arith.max_term``).  A block's rows
-    are rendered by one call; a non-integral value is raised after the
-    rows before it, in the order of a row-by-row scan."""
+    every generator vanishes (plain gcd 0) is a candidate with no row.
+    Each block is a few passes over columns, one per stage of a row: the
+    generators are fixed at the prefix (``wpoly.fix_prefix``) and evaluated
+    as columns of ints (``_int_columns``); lhs is their plain gcd, or the
+    weighted GCD where the prefix's constant values leave a prime open
+    (``_lhs_column``); the prefix's max of log|x_i|/q_i and product of
+    prime-to-S parts are read from ``tables`` (``ScanConfig.terms``) once,
+    and the prime-to-S part is multiplicative, so times the last
+    coordinate's it is s_part(x_0 ... x_n, S).  Then come rhs, ratio and
+    the verdict, each entry the float expression of its own row, the
+    same for a block of any length.  The floats decide
+    lhs > rhs unless lhs / rhs is within ``arith._SIGN_MARGIN`` of 1, far
+    above their rounding error; there the verdict is exact
+    (``_tie_verdict``).  A stage that fails at a row stops the later stages
+    before it, so a block's error is that of its first failing row, at its
+    first failing stage: the one a row-by-row scan meets first.  It is raised
+    after the rows before it are rendered, by one call per block."""
     forms = [g.integer_form for g in config.subscheme.generators]
     gcd_weights = config.subscheme.gcd_weights
     epsilon, s_exponent, margin = config.float_epsilon, config.rhs_exponent, _SIGN_MARGIN
-    log, exp, prod = math.log, math.exp, math.prod
+    log, exp, truediv, compress = math.log, math.exp, operator.truediv, itertools.compress
     last_terms = tables[-1]
     total = exceptional_count = 0
     max_ratio = -math.inf
     rows = []
     for prefix, values in blocks:
         total += len(values)
-        columns, error = _int_columns([fix_prefix(form, prefix) for form in forms], values)
+        fixed = [fix_prefix(form, prefix) for form in forms]
+        columns, error = _int_columns(fixed, values)
+        plain = list(map(math.gcd, *columns))  # 0 where every generator vanishes: no row
+        if 0 in plain:
+            kept = list(map(bool, plain))
+            values, plain = list(compress(values, kept)), list(compress(plain, kept))
+            columns = [list(compress(column, kept)) for column in columns]
+        elif error:
+            values = values[:len(plain)]
+        lhs, lhs_error = _lhs_column(fixed, columns, plain, gcd_weights)
+        if lhs_error:
+            values, error = values[:len(lhs)], lhs_error
         head = [table[c] for table, c in zip(tables, prefix)]
         head_max = max([lg for lg, _ in head], default=-math.inf)
-        head_part = prod([part for _, part in head])
-        kept = []
-        for v, ints in zip(values, zip(*columns)):
-            if not any(ints):
-                continue
-            lhs = _wgcd_value(ints, gcd_weights)  # ints, not all 0
-            lg, part = last_terms[v]
-            stripped = head_part * part
-            log_rhs = epsilon * (lg if lg > head_max else head_max) + log(stripped) * s_exponent
-            try:
-                rhs = exp(log_rhs)
-                ratio = lhs / rhs
-            except OverflowError:
-                raise FloatOverflow(
-                    f"the row at {format_point(prefix + (v,))} leaves the float range "
-                    f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
-                ) from None
-            if abs(ratio - 1.0) > margin:
-                exceptional = lhs > rhs
-            else:
-                point, q = prefix + (v,), config.weights.q
-                k, _ = max_term(point, veronese_data(config.weights).exps, ARCHIMEDEAN)
-                s_exp = 1 / (config.weights.qprod * (config.r - 1 + config.delta))
-                log_terms = [(lhs, 1), (abs(point[k]), -config.epsilon / q[k]), (stripped, -s_exp)]
-                exceptional = log_sum_sign(log_terms) > 0
-            kept.append((v, lhs, rhs, ratio, exceptional))
-        if kept:
-            kept_columns = list(zip(*kept))  # values, lhs, rhs, ratio, exceptional
-            exceptional_count += sum(kept_columns[4])
-            max_ratio = max(max_ratio, *kept_columns[3])
-            rows += render(prefix, *kept_columns)
+        head_part = math.prod([part for _, part in head])
+        log_rhs = [epsilon * (lg if lg > head_max else head_max)
+                   + log(head_part * part) * s_exponent
+                   for lg, part in map(last_terms.__getitem__, values)]
+        try:
+            rhs = list(map(exp, log_rhs))
+            ratio = list(map(truediv, lhs, rhs))
+        except OverflowError:
+            errors = map(_float_overflow, [prefix + (v,) for v in values], log_rhs, lhs)
+            i, error = next((i, e) for i, e in enumerate(errors) if e)
+            values, rhs = values[:i], list(map(exp, log_rhs[:i]))
+            ratio = list(map(truediv, lhs, rhs))
+        exceptional = [a > b if abs(q - 1.0) > margin else None
+                       for a, b, q in zip(lhs, rhs, ratio)]
+        if None in exceptional:  # a near tie
+            for i, e in enumerate(exceptional):
+                if e is None:
+                    v = values[i]
+                    try:
+                        exceptional[i] = _tie_verdict(config, prefix + (v,), lhs[i],
+                                                      head_part * last_terms[v][1])
+                    except WProjError as exc:  # raised after the rows before it
+                        values, error = values[:i], exc
+                        break
+        n = len(values)
+        if n:
+            lhs, rhs, ratio, exceptional = lhs[:n], rhs[:n], ratio[:n], exceptional[:n]
+            exceptional_count += sum(exceptional)
+            max_ratio = max(max_ratio, *ratio)
+            rows += render(prefix, values, lhs, rhs, ratio, exceptional)
         if error:
             raise error
     return total, exceptional_count, max_ratio, rows
@@ -490,7 +578,9 @@ def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = scan_row
 
     ``ScanReport.rows`` holds the rows that ``render(prefix, values, lhs,
     rhs, ratio, exceptional)`` makes of each block of kept rows, in
-    order: by default their ``ScanRow``s (``scan_rows``).  With
+    order: by default their ``ScanRow``s (``scan_rows``); and
+    ``ScanReport.render`` is ``render``, so a writer can tell whose rows
+    they are.  With
     ``workers > 1`` the domain is cut into at most that many parts
     (``parts``), one for this process and one for each of at most
     ``os.cpu_count() - 1`` forked children (none where ``os.fork`` does
@@ -532,6 +622,7 @@ def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = scan_row
         total_candidates=total,
         exceptional_count=exceptional,
         max_ratio=max_ratio,
+        render=render,
     )
 
 
@@ -567,6 +658,7 @@ class AuditReport(Record):
     total_points: int
     singular_points: int
     counterexamples: list  # the renderer's rows of each block, concatenated: AuditRows by default
+    render: AuditRenderer = audit_rows  # the renderer that made them
 
 
 def _canonical_points(w: Weights, bound: int) -> Iterator[Block]:
@@ -582,9 +674,8 @@ def _canonical_points(w: Weights, bound: int) -> Iterator[Block]:
 def _valuation_floors(w: Weights, bound: int) -> tuple[dict, ...]:
     """Per coordinate i, v -> {p: floor(ord_p(v)/q_i)} over the primes p
     of v, for |v| <= bound; None at v = 0, where the floor is +infinity."""
-    from .arith import factorize  # looked up per call: a tracer may rebind it
-
-    factors = {v: factorize(v).factors for v in range(1, bound + 1)}
+    # arith.factorize is looked up per call: a tracer may rebind it
+    factors = {v: arith.factorize(v).factors for v in range(1, bound + 1)}
     return tuple(
         {v: {p: e // q for p, e in factors[abs(v)]} if v else None
          for v in range(-bound, bound + 1)}
@@ -625,7 +716,7 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
     on whether v is 0.  ``AuditReport.counterexamples`` holds the rows
     that ``render(prefix, values, tables)`` makes of each block's
     nonsingular values and their tables, in order: by default their
-    ``AuditRow``s (``audit_rows``).
+    ``AuditRow``s (``audit_rows``); and ``AuditReport.render`` is ``render``.
     """
     if bound < 0:
         raise ValueError(f"the audit bound must be non-negative, got {bound}")
@@ -671,4 +762,5 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
         total_points=total,
         singular_points=singular_count,
         counterexamples=counterexamples,
+        render=render,
     )

@@ -6,15 +6,22 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wproj.scan
 from helpers import run_wproj
 from wproj.cli import (
+    _audit_csv_rows,
+    _audit_json_rows,
     _config_record,
+    _csv_rows,
     _json_rows,
     _rat,
     _real,
+    format_audit_csv,
     format_audit_json,
+    format_scan_csv,
     format_scan_json,
     main,
 )
@@ -311,7 +318,7 @@ def test_scan_json_matches_the_json_module(monkeypatch, config):
     expected = json.dumps(_scan_record(rows), indent=2) + "\n"
     assert format_scan_json(rows) == expected
     for workers in (1, 2):
-        rendered = vojta_scan(config, workers=workers, render=_json_rows)
+        rendered = vojta_scan(config, workers=workers, render=_json_rows())
         assert format_scan_json(rendered) == expected
 
 
@@ -774,6 +781,95 @@ def test_benchmark_commands_keep_their_bytes(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SUNIT_SEED_1 = ("vojta-scan", "--weights", "(1,2,3)", "--generators", "x1-2*x0;x2-5*x0",
+                "--main2-default", "--epsilon", "1", "--s-primes", "2,3",
+                "--domain", "sunit:2,3:1000000")
+BOX_SEED_1 = ("vojta-scan", "--weights", "(1,1,2)", "--generators", "x1-x0;x2-x0",
+              "--gcd-weights", "(1,1)", "--epsilon", "1/2", "--s-primes", "2",
+              "--domain", "box:-15..13,-12..16,-16..12")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv, digest", [
+    # the benchmark's seed-0 scans: sunit-preset and box-scan, in CSV and JSON
+    (("vojta-scan", "--weights", "(1,2,3)", "--generators", "x1-x0;x2-x0",
+      "--main2-default", "--epsilon", "1", "--s-primes", "2,3",
+      "--domain", "sunit:2,3:1000000", "--format", "csv"),
+     "6ab2acd36f645dc8b3c003cb82ca985a5db0033b91d4ce247a658e7cae58db56"),
+    (("vojta-scan", "--weights", "(1,1,2)", "--generators", "x1-x0;x2-x0",
+      "--gcd-weights", "(1,1)", "--epsilon", "1/2", "--s-primes", "2",
+      "--domain", "box:14", "--format", "csv"),
+     "a55d365fa75862270ef63900744a62925652a626152ce983ff9e11ff1ba683a7"),
+    (("vojta-scan", "--weights", "(1,2,3)", "--generators", "x1-x0;x2-x0",
+      "--main2-default", "--epsilon", "1", "--s-primes", "2,3",
+      "--domain", "sunit:2,3:1000000", "--format", "json"),
+     "92e43690012cb7110f32e84e19c083ddbcaeae623b9543d15c7660ae89d68d24"),
+    (("vojta-scan", "--weights", "(1,1,2)", "--generators", "x1-x0;x2-x0",
+      "--gcd-weights", "(1,1)", "--epsilon", "1/2", "--s-primes", "2",
+      "--domain", "box:14", "--format", "json"),
+     "6870cf835231a76ad98029dfc665c8afbdf87ab3b6da57379a79ed6ff2546b8d"),
+    # their seed-1 inputs (perfbench/workloads.py): shifted generators, a translated box
+    ((*SUNIT_SEED_1, "--format", "csv"),
+     "5266dde1860d4c73a67e4cb3a118b96e0f2914dc8ab85033c158be567a87931f"),
+    ((*SUNIT_SEED_1, "--format", "json"),
+     "abd5949bfe84eaf2fb3e83108787b77b5e3b9c346ccdfed8bea02ef1487c8984"),
+    ((*BOX_SEED_1, "--format", "csv"),
+     "3e4dfe0a09cb63b05ad522413952c1fc7a1010a74864fa1b274e36b7ffde80e0"),
+    ((*BOX_SEED_1, "--format", "json"),
+     "0282cc27f132cb9299c5a8b20b6ef5c8d34a52f41b1af7948b99de70db4929a2"),
+])
+def test_benchmark_scans_keep_their_bytes_at_any_worker_count(monkeypatch, capsys, argv,
+                                                             digest, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # fork a worker on any machine
+    code, out, err = run_cli(capsys, *argv, "--workers", workers)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_report_is_written_only_in_the_format_it_was_rendered_for():
+    # both writers printed the other format's text under their own header
+    w = Weights.of(2, 3, 5)
+    not_csv = r"^the report's rows were not rendered by _audit_csv_rows\(\)$"
+    with pytest.raises(ValueError, match=not_csv):
+        format_audit_csv(sing1_audit(w, 1, _audit_json_rows()))
+    with pytest.raises(ValueError, match=r"not rendered by _audit_json_rows\(\)$"):
+        format_audit_json(sing1_audit(w, 1, _audit_csv_rows()))
+    config = _scan_config((1, 1, 1), ("x1-x0", "x2-x0"), (1, 1), 1, (), BoxDomain.symmetric(2, 3))
+    with pytest.raises(ValueError, match=r"not rendered by _csv_rows\(\)$"):
+        format_scan_csv(vojta_scan(config, render=_json_rows()))
+    with pytest.raises(ValueError, match=r"not rendered by _json_rows\(\)$"):
+        format_scan_json(vojta_scan(config, render=_csv_rows()))
+    with pytest.raises(ValueError, match=r"not rendered by _csv_rows\(\)$"):
+        format_scan_csv(vojta_scan(config, render=lambda *columns: ["text"]))
+    # a report is written by its own format's writer, and a library report by either
+    assert format_audit_csv(sing1_audit(w, 1, _audit_csv_rows())) == format_audit_csv(
+        sing1_audit(w, 1))
+    assert format_scan_json(vojta_scan(config, render=_json_rows())) == format_scan_json(
+        vojta_scan(config))
+
+
+floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.lists(st.tuples(floats.filter(lambda r: r >= 1), floats.filter(lambda q: q > 0),
+                                    st.booleans()), max_size=8), max_size=6))
+def test_cached_renderers_write_each_floats_own_text(blocks):
+    # one renderer per scan, over its blocks: a float's text as each row wrote it before
+    csv, json_rows = _csv_rows(), _json_rows()
+    for k, block in enumerate(blocks):
+        prefix, values, lhs = (k, -k), list(range(len(block))), [k + 1] * len(block)
+        rhs, ratio, exceptional = (list(column) for column in zip(*block)) if block else ([],) * 3
+        columns = (prefix, values, lhs, rhs, ratio, exceptional)
+        assert csv(*columns) == [
+            f"[{k}:{-k}:{v}],{a},{r:.12g},{q:.12g},{'true' if e else 'false'}"
+            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
+        assert json_rows(*columns) == [
+            f'{{\n      "point": "[{k}:{-k}:{v}]",\n      "lhs": {a},\n      "rhs": '
+            f'{_real(r)!r},\n      "ratio": {_real(q)!r},\n      "exceptional": '
+            f'{"true" if e else "false"}\n    }}'
+            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
 
 
 # sing1-audit --bound 11 at each permutation of (2,3,5): (CSV, JSON) sha256 of stdout

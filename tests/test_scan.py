@@ -18,12 +18,15 @@ from wproj.cli import main
 from wproj.errors import (
     AllZero,
     ArityMismatch,
+    ComparisonBudgetExceeded,
     DegenerateGenerators,
     EmptyDomain,
+    FactoringBudgetExceeded,
     FloatOverflow,
     IllFormedWeights,
     NonIntegralValue,
     OutputTooLarge,
+    WProjError,
     ZeroInput,
 )
 from wproj.gcdops import Subscheme, log_hwgcd, wgcd
@@ -424,6 +427,103 @@ def test_a_scan_power_past_the_budget_is_refused_in_row_order(monkeypatch, capsy
     _assert_no_child_left()
 
 
+# constants of a fixed form: 0, small, negative, prime powers that a weight
+# 2 or 3 sees, and values from _TRIAL_LIMIT = 2^16 up, where r_q(c) is |c|
+LHS_CONSTANTS = [0, 1, -1, 4, -8, 12, 18, -27, 72, 225, -3375, 2 ** 16, 9 * 2 ** 16,
+                 -(3 ** 12), 5 ** 8, 2 ** 20 * 3 ** 4, 65537 ** 2]
+
+
+@st.composite
+def lhs_blocks(draw):
+    """(fixed forms, values, gcd weights): each form a constant of
+    LHS_CONSTANTS or a * v^e + b * v + c in the last coordinate v."""
+    forms, q = [], draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    for _ in q:
+        if draw(st.booleans()):
+            c = draw(st.sampled_from(LHS_CONSTANTS))
+            forms.append((1, ((c, ()),) if c else ()))
+        else:
+            a, b, c = (draw(st.sampled_from([0, 1, -2, 4, 8, -9, 27])) for _ in range(3))
+            e = draw(st.integers(2, 3))
+            terms = [(a, ((0, e),)), (b, ((0, 1),)), (c, ())]
+            forms.append((1, tuple((k, powers) for k, powers in terms if k)))
+    values = draw(st.lists(st.one_of(st.integers(-40, 40), st.sampled_from([-2 ** 16, 3 ** 11])),
+                           max_size=12))
+    return forms, values, Weights(tuple(q))
+
+
+@given(lhs_blocks())
+@example(([(1, ((36, ()),)), (1, ((1, ((0, 1),)),))], [6, -6, 12, 18, 0, 7], Weights.of(2, 2)))
+def test_block_lhs_is_each_rows_weighted_gcd(block):
+    forms, values, w = block
+    columns, error = wproj.scan._int_columns(forms, values)
+    assert error is None
+    rows = [ints for ints in zip(*columns) if any(ints)]
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in forms]
+    plain = list(map(math.gcd, *columns))
+    lhs, error = wproj.scan._lhs_column(forms, columns, plain, w)
+    assert error is None
+    assert lhs == [wproj.gcdops._wgcd_value(ints, w) for ints in rows]
+
+
+@given(
+    generators=st.lists(st.sampled_from(["x2-x0", "x2+x1", "1/2*x2-1/2*x1", "x1*x2-x0^2",
+                                         "x2^2-x0*x1", "6*x0", "1/3*x2+2/3*x0"]),
+                        min_size=1, max_size=3),
+    epsilon=st.sampled_from(["1/2", "1", "450", "1000"]),
+    margin=st.sampled_from([_SIGN_MARGIN, 0.25, 10.0]),
+    fail_lhs=st.integers(0, 5),
+    fail_tie=st.integers(0, 5),
+)
+# in the block [1:-2:*]: the lhs fails at x2 = -3, before rhs leaves the float range at x2 = 5
+@example(["x2-x0"], "450", _SIGN_MARGIN, 2, 0)
+# the exact verdict fails at x2 = -4, before the value at x2 = -3 is found non-integral
+@example(["1/2*x2-1/2*x1"], "1", 10.0, 0, 4)
+def test_block_stages_fail_in_row_order(generators, epsilon, margin, fail_lhs, fail_tie):
+    # a stage that fails at a row stops the later stages before it: each
+    # block raises what a row-by-row scan, a block of one per point
+    # (evaluate_point), meets first.  The lhs of some rows raises (a plain gcd
+    # that fail_lhs divides), and so does the exact verdict of some near ties
+    # (a max coordinate that fail_tie divides; a wide margin makes every row
+    # one); epsilon 450 leaves the float range from |x| = 5 on, mid-block
+    def wgcd_value(ints, w):
+        if fail_lhs > 1 and math.gcd(*ints) % fail_lhs == 0:
+            raise FactoringBudgetExceeded(f"lhs at {ints}")
+        return real_wgcd_value(ints, w)
+
+    def sign(terms):
+        if fail_tie > 1 and terms[1][0] % fail_tie == 0:
+            raise ComparisonBudgetExceeded(f"tie at {terms}")
+        return log_sum_sign(terms)
+
+    real_wgcd_value = wproj.scan._wgcd_value
+    config = make_config(
+        subscheme=Subscheme(tuple(parse_polynomial(g, W111) for g in generators),
+                            Weights((2,) * len(generators))),
+        epsilon=Fraction(epsilon), domain=BoxDomain(((1, 2), (-2, 3), (-4, 6))), codim=2)
+    points = [p for part in wproj.scan.parts(config)
+              for p in block_points(wproj.scan.candidate_points(config, part))]
+
+    def row_by_row():
+        rows = [row for row in map(evaluate_point, [config] * len(points), points) if row]
+        if not rows:
+            raise DegenerateGenerators("the generators vanish at every candidate point")
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wproj.scan, "_wgcd_value", wgcd_value)
+        mp.setattr(wproj.scan, "log_sum_sign", sign)
+        mp.setattr(wproj.scan, "_SIGN_MARGIN", margin)
+        assert _outcome(lambda: vojta_scan(config).rows) == _outcome(row_by_row)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except WProjError as exc:
+        return type(exc), str(exc)
+
+
 def test_interrupt_kills_and_reaps_the_children(monkeypatch):
     parent = _forking(monkeypatch)
 
@@ -734,18 +834,22 @@ def test_walk_tables_factor_no_large_value(monkeypatch):
 
 def test_walk_calls_wgcd_only_to_reject(monkeypatch):
     # the benchmark's seed-0 box-scan and audit: exact tables, so every
-    # leaf left to wgcd has a weighted GCD above 1
-    calls = _counting(monkeypatch, wproj.scan, "wgcd")
+    # leaf left to the primes of the walk's h has a weighted GCD above 1,
+    # and no leaf calls wgcd
+    calls = _counting(monkeypatch, wproj.scan, "_wgcd_above_one")
+    wgcds = _counting(monkeypatch, wproj.scan, "wgcd")
     config = tie_config(14)
     points = [p for part in wproj.scan.parts(config)
               for p in block_points(wproj.scan.candidate_points(config, part))]
     box = itertools.product(*[[v for v in range(-14, 15) if v]] * 3)
     assert len(calls) == sum(wgcd(p, W112) > 1 for p in box) == 28 ** 3 - len(points)
+    assert all(math.gcd(*p) % h == 0 for p, h, _ in calls)  # h divides the plain gcd
     calls.clear()
     w, bound = Weights.of(2, 3, 5), 11
     points = _canonical_points(w, bound)
     rejected = sum(1 for p in sign_canonical_tuples(w.q, bound) if any(p)) - len(points)
     assert len(calls) == rejected == 11
+    assert wgcds == []
 
 
 def _canonical_points(w, bound):
@@ -1065,26 +1169,33 @@ def test_evaluate_point_is_the_scans_row_on_and_off_the_grid():
 def test_scan_checks_no_walk_tuple(monkeypatch):
     # the benchmark's seed-0 sunit-preset and box-scan configurations: the
     # enumeration's tuples reach the row loop unchecked, only the walk's
-    # leaf wgcd checks a tuple, and only a plain gcd above 1 is factored
+    # leaves are decided by factoring, and a row's generator values are
+    # factored only where the prefix's constant values leave a prime open
     def refuse(*args):
         raise AssertionError("the scan took the checked path")
 
     checked = _counting(monkeypatch, wproj.gcdops, "_integer_tuple")
-    leaves = _counting(monkeypatch, wproj.scan, "wgcd")
-    factored = _counting(monkeypatch, wproj.gcdops, "_wgcd_exponents")
+    leaves = _counting(monkeypatch, wproj.scan, "_wgcd_above_one")
+    factored = _counting(monkeypatch, wproj.scan, "_wgcd_value")
+    exponents = _counting(monkeypatch, wproj.gcdops, "_wgcd_exponents")
     monkeypatch.setattr(wproj.scan, "_integer_tuple", refuse, raising=False)
     monkeypatch.setattr(Subscheme, "values_at", refuse)
     report = vojta_scan(sunit_preset_config())
     assert checked == leaves == []
-    # the generators x1 - x0 and x2 - x0 at x0 = 1
+    # the generators x1 - x0 and x2 - x0 at x0 = 1, gcd weights (2, 3): x1 - 1
+    # is the block's constant, so a row is factored when its plain gcd shares
+    # a prime with r_2(x1 - 1)
     points = [row.point for row in report.rows]
-    gcd_above_one = sum(math.gcd(x1 - 1, x2 - 1) > 1 for _, x1, x2 in points)
-    assert len(factored) == gcd_above_one == 2_992
+    assert sum(math.gcd(x1 - 1, x2 - 1) > 1 for _, x1, x2 in points) == 2_992
+    open_rows = [(x1 - 1, x2 - 1) for _, x1, x2 in points
+                 if math.gcd(x1 - 1, x2 - 1, wproj.scan._radical(x1 - 1, 2)) > 1]
+    assert [tuple(ints) for ints, _ in factored] == open_rows
+    assert len(factored) == len(exponents) == 1_336
     factored.clear()
+    exponents.clear()
     report = vojta_scan(tie_config(14))
-    assert len(checked) == len(leaves) == 1_304
-    # each leaf's tuple at weights (1, 1, 2); the rows' gcd weights are (1, 1)
-    assert factored == [(p, W112) for p, _ in leaves]
+    assert checked == factored == exponents == []  # gcd weights (1, 1): lhs is the plain gcd
+    assert len(leaves) == 1_304
     assert len(report.rows) == 20_628
 
 
