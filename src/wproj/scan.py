@@ -36,7 +36,11 @@ does the work of the prefix once and makes each stage of the rows as a
 column: the generator values, lhs, rhs, ratio and the verdict.  lhs is
 the plain gcd, one C call a row, factored only at the rows where the
 prefix's constant generator values leave a prime open (``_lhs_column``),
-and the kept rows are rendered by one call.
+and the kept rows are rendered by one call.  The stages raise, and one
+rule keeps the errors in row order: a block where a stage fails is
+evaluated again as blocks of one, so the rows before its first failing
+row are rendered and that row raises, as a row-by-row scan would; only
+a scan that ends in an error evaluates a block twice.
 The candidates are tuples of ints of the right length, not all zero,
 so the loop checks only that each generator value is an integer; a
 point from outside enters through ``evaluate_point``, which makes the
@@ -339,14 +343,13 @@ def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow
     return rows[0] if rows else None
 
 
-def _int_columns(forms: Sequence[IntegerForm], values: Sequence[int]):
-    """(columns, error): per ``fix_prefix`` form, its ints at the values, by one
-    list pass per term, and the error of the first row that has one, or None;
-    the columns then stop before that row.  A row's error is that of its first
-    failing form: a power a * v^e past _SIGN_BUDGET bits, refused before it is
-    taken as ``arith.exact_power`` refuses it (OutputTooLarge), or else a value
-    that is not an integer (NonIntegralValue)."""
-    columns, error = [], None
+def _int_columns(forms: Sequence[IntegerForm], values: Sequence[int]) -> list[list[int]]:
+    """Per ``fix_prefix`` form, its ints at the values, by one list pass per
+    term.  A power a * v^e past _SIGN_BUDGET bits at some value is refused
+    before it is taken, as ``arith.exact_power`` refuses it (OutputTooLarge),
+    and a value that is not an integer raises NonIntegralValue, each checked
+    form by form: in a block of one, the row's first failing form raises."""
+    columns = []
     for d, terms in forms:
         column = [0] * len(values)
         for a, powers in terms:  # a * v^e, with no power taken at e = 0 or 1
@@ -356,37 +359,32 @@ def _int_columns(forms: Sequence[IntegerForm], values: Sequence[int]):
             elif e == 1:
                 column = [s + a * v for s, v in zip(column, values)]
             else:
-                # v^e has at least e * (bit_length(v) - 1) + 1 bits: test the largest |v| first
+                # v^e has at least e * (bit_length(v) - 1) + 1 bits: test the largest |v|
                 if e * (max(map(abs, values), default=0).bit_length() - 1) >= _SIGN_BUDGET:
-                    values = values[:next(i for i, v in enumerate(values)
-                                          if e * (abs(v).bit_length() - 1) >= _SIGN_BUDGET)]
-                    error = OutputTooLarge(f"an exact power would have over {_SIGN_BUDGET} bits")
+                    raise OutputTooLarge(f"an exact power would have over {_SIGN_BUDGET} bits")
                 column = [s + a * v ** e for s, v in zip(column, values)]
         if d != 1:
-            bad = [i for i, v in enumerate(column[:len(values)]) if v % d]
+            bad = [v for v in column if v % d]
             if bad:
-                error = NonIntegralValue(f"{Fraction(column[bad[0]], d)} is not an integer")
-                values = values[:bad[0]]
+                raise NonIntegralValue(f"{Fraction(bad[0], d)} is not an integer")
             column = [v // d for v in column]
         columns.append(column)
-    return [column[:len(values)] for column in columns], error
+    return columns
 
 
 def _lhs_column(fixed: Sequence[IntegerForm], columns: list[list[int]], plain: list[int],
-                w: Weights):
-    """(lhs, error): per row of the columns, whose plain gcds are ``plain``
-    (none 0), the weighted GCD (weights w) of its generator values, and the
-    error of the first row whose ``_wgcd_value`` raised, or None; the column
-    then stops before that row.
+                w: Weights) -> list[int]:
+    """Per row of the columns, whose plain gcds are ``plain`` (none 0), the
+    weighted GCD (weights w) of its generator values.
 
     With every weight 1 the plain gcd g is the answer.  Otherwise a prime p
     of the weighted GCD has p^(q_j) | c_j for every nonzero value c_j of a
     form that ``fix_prefix`` left constant, so p divides r = gcd_j
     r_(q_j)(c_j) (``_radical``, the walk's table rule; 0 when there is no
     such form) as well as g: gcd(g, r) = 1 proves the weighted GCD 1, and
-    only the other rows call ``_wgcd_value``."""
+    only the other rows call ``_wgcd_value``, which may raise."""
     if w.m == 1 or not plain:
-        return plain, None
+        return plain
     r = 0
     for (_, terms), column, q in zip(fixed, columns, w.q):
         if len(terms) == 1 and not terms[0][1]:  # a nonzero constant, a * x_k^0
@@ -394,24 +392,17 @@ def _lhs_column(fixed: Sequence[IntegerForm], columns: list[list[int]], plain: l
     gcd = math.gcd
     lhs = [g if gcd(g, r) > 1 else 1 for g in plain]
     for i in [i for i, g in enumerate(lhs) if g > 1]:
-        try:
-            lhs[i] = _wgcd_value([column[i] for column in columns], w)
-        except WProjError as exc:  # raised after the rows before it
-            return lhs[:i], exc
-    return lhs, None
+        lhs[i] = _wgcd_value([column[i] for column in columns], w)
+    return lhs
 
 
-def _float_overflow(point: tuple[int, ...], log_rhs: float, lhs: int) -> FloatOverflow | None:
-    """The FloatOverflow of a row whose rhs = e^(log rhs) or lhs / rhs leaves
-    the float range, or None."""
-    try:
-        lhs / math.exp(log_rhs)
-    except OverflowError:
-        return FloatOverflow(
-            f"the row at {format_point(point)} leaves the float range "
-            f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
-        )
-    return None
+def _float_overflow(point: tuple[int, ...], log_rhs: float, lhs: int) -> FloatOverflow:
+    """The FloatOverflow of the row at point, whose rhs = e^(log rhs) or
+    lhs / rhs leaves the float range."""
+    return FloatOverflow(
+        f"the row at {format_point(point)} leaves the float range "
+        f"(log rhs = {log_rhs:.6g}, lhs has {lhs.bit_length()} bits)"
+    )
 
 
 def _tie_verdict(config: ScanConfig, point: tuple[int, ...], lhs: int, stripped: int) -> bool:
@@ -447,32 +438,30 @@ def _scan_part(
     same for a block of any length.  The floats decide
     lhs > rhs unless lhs / rhs is within ``arith._SIGN_MARGIN`` of 1, far
     above their rounding error; there the verdict is exact
-    (``_tie_verdict``).  A stage that fails at a row stops the later stages
-    before it, so a block's error is that of its first failing row, at its
-    first failing stage: the one a row-by-row scan meets first.  It is raised
-    after the rows before it are rendered, by one call per block."""
+    (``_tie_verdict``).  A block's kept rows are rendered by one call.
+
+    One rule orders the errors: a block where some stage raises a
+    WProjError is evaluated again, lazily, as blocks of one, (prefix, [v])
+    for each v, so the rows before its first failing row are rendered and
+    that row raises its own error at its first failing stage: what a
+    row-by-row scan meets first.  Only a scan that ends in an error pays
+    for it, by evaluating one block's rows twice."""
     forms = [g.integer_form for g in config.subscheme.generators]
     gcd_weights = config.subscheme.gcd_weights
     epsilon, s_exponent, margin = config.float_epsilon, config.rhs_exponent, _SIGN_MARGIN
     log, exp, truediv, compress = math.log, math.exp, operator.truediv, itertools.compress
     last_terms = tables[-1]
-    total = exceptional_count = 0
-    max_ratio = -math.inf
-    rows = []
-    for prefix, values in blocks:
-        total += len(values)
+
+    def stages(prefix: tuple[int, ...], values: Sequence[int]):
+        """The block's kept values and their lhs, rhs, ratio and verdict columns."""
         fixed = [fix_prefix(form, prefix) for form in forms]
-        columns, error = _int_columns(fixed, values)
+        columns = _int_columns(fixed, values)
         plain = list(map(math.gcd, *columns))  # 0 where every generator vanishes: no row
         if 0 in plain:
             kept = list(map(bool, plain))
             values, plain = list(compress(values, kept)), list(compress(plain, kept))
             columns = [list(compress(column, kept)) for column in columns]
-        elif error:
-            values = values[:len(plain)]
-        lhs, lhs_error = _lhs_column(fixed, columns, plain, gcd_weights)
-        if lhs_error:
-            values, error = values[:len(lhs)], lhs_error
+        lhs = _lhs_column(fixed, columns, plain, gcd_weights)
         head = [table[c] for table, c in zip(tables, prefix)]
         head_max = max([lg for lg, _ in head], default=-math.inf)
         head_part = math.prod([part for _, part in head])
@@ -482,31 +471,32 @@ def _scan_part(
         try:
             rhs = list(map(exp, log_rhs))
             ratio = list(map(truediv, lhs, rhs))
-        except OverflowError:
-            errors = map(_float_overflow, [prefix + (v,) for v in values], log_rhs, lhs)
-            i, error = next((i, e) for i, e in enumerate(errors) if e)
-            values, rhs = values[:i], list(map(exp, log_rhs[:i]))
-            ratio = list(map(truediv, lhs, rhs))
+        except OverflowError:  # in a block of one, the row's own error
+            raise _float_overflow(prefix + (values[0],), log_rhs[0], lhs[0]) from None
         exceptional = [a > b if abs(q - 1.0) > margin else None
                        for a, b, q in zip(lhs, rhs, ratio)]
         if None in exceptional:  # a near tie
             for i, e in enumerate(exceptional):
                 if e is None:
                     v = values[i]
-                    try:
-                        exceptional[i] = _tie_verdict(config, prefix + (v,), lhs[i],
-                                                      head_part * last_terms[v][1])
-                    except WProjError as exc:  # raised after the rows before it
-                        values, error = values[:i], exc
-                        break
-        n = len(values)
-        if n:
-            lhs, rhs, ratio, exceptional = lhs[:n], rhs[:n], ratio[:n], exceptional[:n]
-            exceptional_count += sum(exceptional)
-            max_ratio = max(max_ratio, *ratio)
-            rows += render(prefix, values, lhs, rhs, ratio, exceptional)
-        if error:
-            raise error
+                    exceptional[i] = _tie_verdict(config, prefix + (v,), lhs[i],
+                                                  head_part * last_terms[v][1])
+        return values, lhs, rhs, ratio, exceptional
+
+    total = exceptional_count = 0
+    max_ratio = -math.inf
+    rows = []
+    for prefix, values in blocks:
+        total += len(values)
+        try:
+            made = [stages(prefix, values)]
+        except WProjError:  # again row by row: the first failing row raises
+            made = (stages(prefix, [v]) for v in values)
+        for kept, lhs, rhs, ratio, exceptional in made:
+            if kept:
+                exceptional_count += sum(exceptional)
+                max_ratio = max(max_ratio, *ratio)
+                rows += render(prefix, kept, lhs, rhs, ratio, exceptional)
     return total, exceptional_count, max_ratio, rows
 
 

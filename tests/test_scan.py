@@ -46,7 +46,7 @@ from wproj.scan import (
 from wproj.points import WPoint, normalize, sign_canon
 from wproj.singular import is_singular
 from wproj.weights import Weights
-from wproj.wpoly import WPolynomial, evaluate, fix_prefix, parse_polynomial, scaled_value
+from wproj.wpoly import WPolynomial, evaluate, parse_polynomial, scaled_value
 
 from helpers import block_points, sign_canonical_tuples
 
@@ -215,8 +215,7 @@ def test_parts_concatenate_to_the_enumeration(config):
         assert points == expected
 
 
-@pytest.fixture
-def fake_children(monkeypatch):
+def _in_process_children(mp):
     """Replaces the forked child by a stand-in that scans its part in
     this process when its result is read, and starts no process;
     returns the part of every child the scans would have started."""
@@ -232,8 +231,13 @@ def fake_children(monkeypatch):
         def kill(self):
             pass
 
-    monkeypatch.setattr(wproj.scan, "_Child", FakeChild)
+    mp.setattr(wproj.scan, "_Child", FakeChild)
     return started
+
+
+@pytest.fixture
+def fake_children(monkeypatch):
+    return _in_process_children(monkeypatch)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -402,15 +406,41 @@ HUGE = "x1^2000000-x0^2000000"  # at x0 = 1: 2^2000000 is past the budget, 1 is 
     ((HUGE,), [1, -1], None),
 ])
 def test_column_powers_past_the_budget_are_refused_in_row_order(generators, values, error):
+    # the values are the last coordinate of one block at x0 = 1; 0, outside
+    # any scan domain, gets log|0| = -inf and a prime-to-S part of 1
     w = Weights.of(1, 1)
-    forms = [fix_prefix(parse_polynomial(g, w).integer_form, (1,)) for g in generators]
-    columns, raised = wproj.scan._int_columns(forms, values)
-    stop = len(columns[0])
-    assert stop < len(values) if error else stop == len(values)
-    assert error == (raised and (raised.code, str(raised)))
-    for g, column in zip(generators, columns):
-        f = parse_polynomial(g, w)
-        assert column == [int(evaluate(f, (1, v))) for v in values[:stop]]
+    polys = [parse_polynomial(g, w) for g in generators]
+    config = ScanConfig(weights=w, subscheme=Subscheme(tuple(polys), Weights((1,) * len(polys))),
+                        epsilon=Fraction(1), delta=Fraction(1), s_primes=frozenset(),
+                        domain=BoxDomain(((1, 1), (1, 1))))
+    tables = config.terms([(1,), [v for v in values if v]])
+    tables[-1][0] = (-math.inf, 1)
+    taken, rendered = [], []
+
+    class Value(int):  # records each power of a last coordinate that is taken
+        def __pow__(self, e):
+            taken.append(int(self))
+            return int(self) ** e
+
+    def render(prefix, kept, lhs, *columns):
+        rendered.extend(zip(map(int, kept), lhs))
+        return scan_rows(prefix, kept, lhs, *columns)
+
+    def fails(v):  # a form of the row needs a power past the budget or is no integer
+        return any(g == HUGE and abs(v) > 1 or evaluate(f, (1, v)).denominator != 1
+                   for g, f in zip(generators, polys))
+
+    stop = next((i for i, v in enumerate(values) if fails(v)), len(values))
+    assert (stop < len(values)) == (error is not None)
+    raised = None
+    try:
+        wproj.scan._scan_part(config, render, [((1,), list(map(Value, values)))], tables)
+    except WProjError as exc:
+        raised = exc.code, str(exc)
+    assert raised == error
+    assert all(abs(v) <= 1 for v in taken)  # 3^2000000 and the like are never taken
+    ints = [[int(evaluate(f, (1, v))) for f in polys] for v in values[:stop]]
+    assert rendered == [(v, math.gcd(*row)) for v, row in zip(values, ints) if any(row)]
 
 
 def test_a_scan_power_past_the_budget_is_refused_in_row_order(monkeypatch, capsys):
@@ -456,13 +486,11 @@ def lhs_blocks(draw):
 @example(([(1, ((36, ()),)), (1, ((1, ((0, 1),)),))], [6, -6, 12, 18, 0, 7], Weights.of(2, 2)))
 def test_block_lhs_is_each_rows_weighted_gcd(block):
     forms, values, w = block
-    columns, error = wproj.scan._int_columns(forms, values)
-    assert error is None
+    columns = wproj.scan._int_columns(forms, values)
     rows = [ints for ints in zip(*columns) if any(ints)]
     columns = [list(column) for column in zip(*rows)] or [[] for _ in forms]
     plain = list(map(math.gcd, *columns))
-    lhs, error = wproj.scan._lhs_column(forms, columns, plain, w)
-    assert error is None
+    lhs = wproj.scan._lhs_column(forms, columns, plain, w)
     assert lhs == [wproj.gcdops._wgcd_value(ints, w) for ints in rows]
 
 
@@ -515,6 +543,68 @@ def test_block_stages_fail_in_row_order(generators, epsilon, margin, fail_lhs, f
         mp.setattr(wproj.scan, "log_sum_sign", sign)
         mp.setattr(wproj.scan, "_SIGN_MARGIN", margin)
         assert _outcome(lambda: vojta_scan(config).rows) == _outcome(row_by_row)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@given(
+    generators=st.lists(st.sampled_from(["x2-x0", "x2+x1", "1/2*x2-1/2*x1", "x1*x2-x0^2",
+                                         "x2^2-x0*x1", "6*x0", "1/3*x2+2/3*x0"]),
+                        min_size=1, max_size=3),
+    epsilon=st.sampled_from(["1/2", "1", "450", "1000"]),
+    margin=st.sampled_from([_SIGN_MARGIN, 0.25, 10.0]),
+    fail_lhs=st.integers(0, 5),
+    fail_tie=st.integers(0, 5),
+)
+@example(["x2-x0"], "450", _SIGN_MARGIN, 2, 0)
+@example(["1/2*x2-1/2*x1"], "1", 10.0, 0, 4)
+def test_block_stages_render_the_rows_before_their_error(
+    workers, generators, epsilon, margin, fail_lhs, fail_tie
+):
+    # the other half of test_block_stages_fail_in_row_order: the renderer sees
+    # the rows a point-by-point scan (evaluate_point) makes before its error,
+    # each once and in order, whether the part that fails is this process's
+    # or a worker's (here scanned in this process, so its renderer is seen)
+    def wgcd_value(ints, w):
+        if fail_lhs > 1 and math.gcd(*ints) % fail_lhs == 0:
+            raise FactoringBudgetExceeded(f"lhs at {ints}")
+        return real_wgcd_value(ints, w)
+
+    def sign(terms):
+        if fail_tie > 1 and terms[1][0] % fail_tie == 0:
+            raise ComparisonBudgetExceeded(f"tie at {terms}")
+        return log_sum_sign(terms)
+
+    def render(*block):
+        rows = scan_rows(*block)
+        rendered.extend(rows)
+        return rows
+
+    def point_by_point():
+        for point in points:
+            row = evaluate_point(config, point)
+            if row:
+                expected.append(row)
+        if not expected:
+            raise DegenerateGenerators("the generators vanish at every candidate point")
+
+    real_wgcd_value = wproj.scan._wgcd_value
+    config = make_config(
+        subscheme=Subscheme(tuple(parse_polynomial(g, W111) for g in generators),
+                            Weights((2,) * len(generators))),
+        epsilon=Fraction(epsilon), domain=BoxDomain(((1, 2), (-2, 3), (-4, 6))), codim=2)
+    points = [p for part in wproj.scan.parts(config)
+              for p in block_points(wproj.scan.candidate_points(config, part))]
+    rendered, expected = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wproj.scan, "_wgcd_value", wgcd_value)
+        mp.setattr(wproj.scan, "log_sum_sign", sign)
+        mp.setattr(wproj.scan, "_SIGN_MARGIN", margin)
+        mp.setattr(os, "cpu_count", lambda: 2)
+        children = _in_process_children(mp)
+        error = _outcome(lambda: vojta_scan(config, workers=workers, render=render) and None)
+        assert len(children) == workers - 1
+        assert _outcome(point_by_point) == error
+    assert [_row_key(row) for row in rendered] == [_row_key(row) for row in expected]
 
 
 def _outcome(run):
@@ -1227,6 +1317,26 @@ def test_scan_fixes_the_generators_once_per_block(monkeypatch):
     report = vojta_scan(tie_config(14))
     assert len(fixed) == 784 * 2
     assert 784 < len(report.rows) == 20_628
+
+
+def test_a_clean_scan_evaluates_each_block_once(monkeypatch):
+    # the benchmark's seed-0 sunit-preset and box-scan configurations: a block
+    # is evaluated again as blocks of one only when a stage fails, so a scan
+    # with no error evaluates the blocks that candidate_points yields, once each
+    evaluated = _counting(monkeypatch, wproj.scan, "_int_columns")
+    factored = _counting(monkeypatch, wproj.scan, "_wgcd_value")
+    for config, blocks, candidates in [(sunit_preset_config(), 142, 20_164),
+                                       (tie_config(14), 784, 20_648)]:
+        yielded = [values for part in wproj.scan.parts(config)
+                   for _, values in wproj.scan.candidate_points(config, part)]
+        evaluated.clear()
+        factored.clear()
+        report = vojta_scan(config)
+        assert [values for _, values in evaluated] == yielded
+        assert len(yielded) == blocks
+        assert report.total_candidates == sum(map(len, yielded)) == candidates
+        if config.domain == sunit_preset_config().domain:
+            assert len(factored) == 1_336
 
 
 @st.composite
