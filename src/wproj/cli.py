@@ -7,7 +7,8 @@ record; the scan and the audit emit CSV or JSON per --format.
 Conventions: exact rationals print as "p/q" strings (integers without
 the "/1"), reals as numbers rounded to 12 significant digits, formal
 log sums as arrays of [prime, exponent] pairs.  Exit codes: 0 success,
-2 parse errors, 3 domain errors.
+1 stdout closed before the output was written, 2 parse errors, 3 domain
+errors.
 """
 
 from __future__ import annotations
@@ -363,15 +364,19 @@ def _row_texts(report: ScanReport, renderer) -> list[str]:
             for text in render(p[:-1], p[-1:], *([field] for field in fields))]
 
 
-def format_scan_csv(report: ScanReport) -> str:
-    lines = ["point,lhs,rhs,ratio,exceptional", *_row_texts(report, _csv_rows)]
-    return "\n".join(lines) + "\n"
+def format_scan_csv(report: ScanReport, out) -> None:
+    """Write the scan's CSV to the stream ``out``."""
+    texts = _row_texts(report, _csv_rows)
+    out.write("point,lhs,rhs,ratio,exceptional")
+    _write_joined(out, texts, "\n", "\n")
+    out.write("\n")
 
 
-def format_scan_json(report: ScanReport) -> str:
-    """The scan record, byte for byte as ``json.dumps(record, indent=2)``,
-    whose pure-Python encoder writes only the config head and the
-    summary here; the rows come from the ``_json_rows`` template."""
+def format_scan_json(report: ScanReport, out) -> None:
+    """Write the scan record to the stream ``out``, byte for byte as
+    ``json.dumps(record, indent=2)``, whose pure-Python encoder makes only
+    the config head and the summary here; the rows come from the
+    ``_json_rows`` template."""
     head = json.dumps({"config": _config_record(report.config)}, indent=2)
     summary = json.dumps({
         "rows": len(report.rows),
@@ -380,8 +385,10 @@ def format_scan_json(report: ScanReport) -> str:
         "exceptional": report.exceptional_count,
         "max_ratio": _real(report.max_ratio),
     }, indent=2).replace("\n", "\n  ")
-    rows = _json_list(_row_texts(report, _json_rows), 1)
-    return f'{head[:-2]},\n  "rows": {rows},\n  "summary": {summary}\n}}\n'
+    texts = _row_texts(report, _json_rows)
+    out.write(f'{head[:-2]},\n  "rows": ')
+    _write_json_list(out, texts, 1)
+    out.write(f',\n  "summary": {summary}\n}}\n')
 
 
 def cmd_vojta_scan(args) -> int:
@@ -410,8 +417,21 @@ def cmd_vojta_scan(args) -> int:
     else:
         render, write = _json_rows(), format_scan_json
     report = vojta_scan(config, workers=args.workers, render=render)
-    sys.stdout.write(write(report))
+    write(report, sys.stdout)
     return 0
+
+
+# rows per write of the scan and audit writers: a write holds a bounded
+# part of the output, never all of it
+_CHUNK_ROWS = 256
+
+
+def _write_joined(out, texts: list[str], sep: str, lead: str) -> None:
+    """Write ``lead + sep.join(texts)`` to ``out``, ``_CHUNK_ROWS`` texts a
+    write; nothing for no texts."""
+    for i in range(0, len(texts), _CHUNK_ROWS):
+        out.write(lead + sep.join(texts[i:i + _CHUNK_ROWS]))
+        lead = sep
 
 
 def _json_list(items: list[str], depth: int) -> str:
@@ -420,6 +440,16 @@ def _json_list(items: list[str], depth: int) -> str:
         return "[]"
     inner = "\n" + "  " * (depth + 1)
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _write_json_list(out, items: list[str], depth: int) -> None:
+    """Write ``_json_list(items, depth)`` to ``out``, a chunk of items a write."""
+    if not items:
+        out.write("[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    _write_joined(out, items, "," + inner, "[" + inner)
+    out.write("\n" + "  " * depth + "]")
 
 
 def _audit_csv_rows():
@@ -477,18 +507,20 @@ def _audit_texts(report: AuditReport, renderer) -> list[str]:
             for text in render(row.point[:-1], row.point[-1:], [row.valuations])]
 
 
-def format_audit_csv(report: AuditReport) -> str:
-    lines = ["point,log_hwgcd_zero,singular,counterexample",
-             *_audit_texts(report, _audit_csv_rows)]
-    return "\n".join(lines) + "\n"
+def format_audit_csv(report: AuditReport, out) -> None:
+    """Write the audit's CSV to the stream ``out``."""
+    texts = _audit_texts(report, _audit_csv_rows)
+    out.write("point,log_hwgcd_zero,singular,counterexample")
+    _write_joined(out, texts, "\n", "\n")
+    out.write("\n")
 
 
-def format_audit_json(report: AuditReport) -> str:
-    """The audit record, byte for byte as ``json.dumps(record, indent=2)``,
-    whose pure-Python encoder writes only the fixed-size head here; the
-    counterexamples come from the ``_audit_json_rows`` template, as the
-    audit rendered them or, for a library report of AuditRows, one by one
-    here."""
+def format_audit_json(report: AuditReport, out) -> None:
+    """Write the audit record to the stream ``out``, byte for byte as
+    ``json.dumps(record, indent=2)``, whose pure-Python encoder makes only
+    the fixed-size head here; the counterexamples come from the
+    ``_audit_json_rows`` template, as the audit rendered them or, for a
+    library report of AuditRows, one by one here."""
     head = json.dumps({
         "weights": str(report.weights),
         "bound": report.bound,
@@ -499,8 +531,10 @@ def format_audit_json(report: AuditReport) -> str:
             "counterexamples": len(report.counterexamples),
         },
     }, indent=2)
-    rows = _json_list(_audit_texts(report, _audit_json_rows), 1)
-    return f'{head[:-2]},\n  "counterexamples": {rows}\n}}\n'
+    texts = _audit_texts(report, _audit_json_rows)
+    out.write(f'{head[:-2]},\n  "counterexamples": ')
+    _write_json_list(out, texts, 1)
+    out.write("\n}\n")
 
 
 def cmd_sing1_audit(args) -> int:
@@ -510,7 +544,7 @@ def cmd_sing1_audit(args) -> int:
     else:
         render, write = _audit_json_rows(), format_audit_json
     report = sing1_audit(w, args.bound, render=render)
-    sys.stdout.write(write(report))
+    write(report, sys.stdout)
     return 0
 
 
@@ -609,7 +643,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when Python started with fd 1 closed
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: the rest of the output goes to
+        # devnull, so the flush at exit cannot raise again
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except WProjError as exc:
         record = {"error": exc.code, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

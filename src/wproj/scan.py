@@ -675,13 +675,29 @@ def _valuation_floors(w: Weights, bound: int) -> tuple[dict, ...]:
 
 def _valuation_table(point: tuple[int, ...], floors: tuple[dict, ...]):
     """(prime, floors, min) for each prime of a coordinate, read from
-    ``_valuation_floors``; -1 marks +infinity."""
+    ``_valuation_floors``; -1 marks +infinity: the per-point reference for
+    the tables ``sing1_audit`` builds per prefix."""
     entries = [column[v] for column, v in zip(floors, point)]
     table = []
     for p in sorted(set().union(*filter(None, entries))):
         row = tuple(-1 if e is None else e.get(p, 0) for e in entries)
         table.append((p, row, min(f for f in row if f >= 0)))
     return tuple(table)
+
+
+def _head_valuations(head: tuple[int, ...], floors: tuple[dict, ...]):
+    """What a prefix |x_0|, ..., |x_(n-1)| gives every valuation table that
+    ends in it: for each prime p of a head coordinate, p -> (the head's
+    floors row, its min over the non-negative entries), and (row, min) for a
+    prime that only the last coordinate has: floors 0, -1 at a zero, and min
+    0, or +infinity when the head is all zero."""
+    entries = [column[v] for column, v in zip(floors, head)]
+    known = {}  # in the order of the primes
+    for p in sorted(set().union(*filter(None, entries))):
+        row = tuple(-1 if e is None else e.get(p, 0) for e in entries)
+        known[p] = (row, min(f for f in row if f >= 0))
+    other = tuple(-1 if e is None else 0 for e in entries)
+    return known, (other, 0 if any(head) else math.inf)
 
 
 def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> AuditReport:
@@ -699,7 +715,12 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
     per support (at most 2^n - 1 times) and its answer is reused.  Each
     |v| <= bound is factored once (``_valuation_floors``), and v and -v
     have the same floors, so a point's valuation table is a function of
-    (|x_0|, ..., |x_n|), built once for each.
+    (|x_0|, ..., |x_n|), built once for each, and built from its prefix's
+    part: for each new |prefix| its primes, and for each prime the prefix's
+    floors and their min, are found once (``_head_valuations``); each new
+    |v| then appends the last coordinate's floor to each row and takes one
+    min, over the sorted union of the primes.  ``_valuation_table`` builds
+    the same table point by point.
 
     The points come in the blocks of ``_canonical_points``, a prefix and
     values of the last coordinate; within a block the support turns only
@@ -725,7 +746,9 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
         return verdict
 
     floors = _valuation_floors(w, bound)
-    tables: dict[tuple[int, ...], dict[int, tuple]] = {}  # |prefix| -> {|v|: table}
+    last_floors = floors[-1]
+    # |prefix| -> ({|v|: table}, and _head_valuations of |prefix|)
+    tables: dict[tuple[int, ...], tuple[dict[int, tuple], dict, tuple]] = {}
     for prefix, values in _canonical_points(w, bound):
         total += len(values)
         # within a block the support turns only on whether v is 0
@@ -739,12 +762,20 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
         if not kept:
             continue
         head = tuple(map(abs, prefix))
-        column = tables.get(head)
-        if column is None:
-            column = tables[head] = {}
+        entry = tables.get(head)
+        if entry is None:
+            entry = tables[head] = ({}, *_head_valuations(head, floors))
+        column, known, other = entry
         magnitudes = list(map(abs, kept))
         for a in set(magnitudes).difference(column):
-            column[a] = _valuation_table(head + (a,), floors)
+            last = last_floors[a] or {}  # None at a = 0, which adds no prime
+            blank = 0 if a else -1  # the last floor of a prime that a lacks
+            table = []
+            for p in sorted(known.keys() | last.keys()):
+                row, m = known.get(p, other)
+                f = last.get(p, blank)
+                table.append((p, row + (f,), f if 0 <= f < m else m))
+            column[a] = tuple(table)
         counterexamples += render(prefix, kept, list(map(column.__getitem__, magnitudes)))
     return AuditReport(
         weights=w,

@@ -3,6 +3,7 @@ a runner for fresh interpreters."""
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import subprocess
@@ -32,6 +33,34 @@ def run_python(*argv: str, timeout: float) -> tuple[int, str, str]:
 def run_wproj(*args: str, timeout: float) -> tuple[int, str, str]:
     """``run_python`` on ``python -m wproj.cli *args``."""
     return run_python("-m", "wproj.cli", *args, timeout=timeout)
+
+
+def run_wproj_closing(nbytes: int, *args: str, unbuffered: bool,
+                      timeout: float) -> tuple[int, bytes, bytes]:
+    """(exit code, first ``nbytes`` of stdout, stderr) of ``python -m
+    wproj.cli *args`` whose stdout pipe is closed after ``nbytes`` are read,
+    as ``| head -c nbytes`` does; with PYTHONUNBUFFERED set or unset."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "wproj.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        head = proc.stdout.read(nbytes)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=timeout)
+    finally:
+        proc.kill()
+        proc.wait()
+    return proc.returncode, head, err
+
+
+def written(write, report) -> str:
+    """The text that the stream writer ``write(report, out)`` writes."""
+    out = io.StringIO()
+    write(report, out)
+    return out.getvalue()
 
 
 def rand_rational(rng, num_bound, den_bound=None):

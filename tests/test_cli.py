@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import os
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wproj.scan
-from helpers import run_wproj
+from helpers import run_wproj, run_wproj_closing, written
 from wproj.cli import (
     _audit_csv_rows,
     _audit_json_rows,
@@ -259,7 +261,7 @@ def test_audit_json_matches_the_json_module():
     assert any(not row.valuations for row in reports[0].counterexamples)
     for report in reports:
         expected = json.dumps(_audit_record(report), indent=2) + "\n"
-        assert format_audit_json(report) == expected
+        assert written(format_audit_json, report) == expected
 
 
 def _scan_record(report):
@@ -316,10 +318,10 @@ def test_scan_json_matches_the_json_module(monkeypatch, config):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # fork a worker on any machine
     rows = vojta_scan(config)
     expected = json.dumps(_scan_record(rows), indent=2) + "\n"
-    assert format_scan_json(rows) == expected
+    assert written(format_scan_json, rows) == expected
     for workers in (1, 2):
         rendered = vojta_scan(config, workers=workers, render=_json_rows())
-        assert format_scan_json(rendered) == expected
+        assert written(format_scan_json, rendered) == expected
 
 
 SCAN_ARGVS = [
@@ -783,6 +785,48 @@ def test_benchmark_commands_keep_their_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class _Writes:
+    """A stdout that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("sing1-audit", "--weights", "(2,3,5)", "--bound", "11", "--format", "json"),
+     "ac431e4d80b837544cd3f63d535aebdb95802bcd1285f78c554285ef91472a5c"),
+    (("vojta-scan", "--weights", "(1,1,2)", "--generators", "x1-x0;x2-x0",
+      "--gcd-weights", "(1,1)", "--epsilon", "1/2", "--s-primes", "2",
+      "--domain", "box:14", "--format", "csv"),
+     "a55d365fa75862270ef63900744a62925652a626152ce983ff9e11ff1ba683a7"),
+])
+def test_writers_never_hold_the_whole_output(monkeypatch, argv, digest):
+    # the writers stream their rows in bounded chunks: no write is the output
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 0
+    text = "".join(stdout.writes)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert max(map(len, stdout.writes)) <= len(text) / 8
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(unbuffered):
+    # `wproj sing1-audit ... | head -c 10` printed a BrokenPipeError traceback
+    # and exited 1, or under PYTHONUNBUFFERED=1 exited 0 as if all was written
+    argv = ("sing1-audit", "--weights", "(2,3,5)", "--bound", "11")
+    code, head, err = run_wproj_closing(10, *argv, unbuffered=unbuffered, timeout=60)
+    assert head == b'{\n  "weigh'
+    assert (code, err) == (1, b"")
+
+
 SUNIT_SEED_1 = ("vojta-scan", "--weights", "(1,2,3)", "--generators", "x1-2*x0;x2-5*x0",
                 "--main2-default", "--epsilon", "1", "--s-primes", "2,3",
                 "--domain", "sunit:2,3:1000000")
@@ -832,22 +876,24 @@ def test_a_report_is_written_only_in_the_format_it_was_rendered_for():
     # both writers printed the other format's text under their own header
     w = Weights.of(2, 3, 5)
     not_csv = r"^the report's rows were not rendered by _audit_csv_rows\(\)$"
+    out = io.StringIO()
     with pytest.raises(ValueError, match=not_csv):
-        format_audit_csv(sing1_audit(w, 1, _audit_json_rows()))
+        format_audit_csv(sing1_audit(w, 1, _audit_json_rows()), out)
     with pytest.raises(ValueError, match=r"not rendered by _audit_json_rows\(\)$"):
-        format_audit_json(sing1_audit(w, 1, _audit_csv_rows()))
+        format_audit_json(sing1_audit(w, 1, _audit_csv_rows()), out)
     config = _scan_config((1, 1, 1), ("x1-x0", "x2-x0"), (1, 1), 1, (), BoxDomain.symmetric(2, 3))
     with pytest.raises(ValueError, match=r"not rendered by _csv_rows\(\)$"):
-        format_scan_csv(vojta_scan(config, render=_json_rows()))
+        format_scan_csv(vojta_scan(config, render=_json_rows()), out)
     with pytest.raises(ValueError, match=r"not rendered by _json_rows\(\)$"):
-        format_scan_json(vojta_scan(config, render=_csv_rows()))
+        format_scan_json(vojta_scan(config, render=_csv_rows()), out)
     with pytest.raises(ValueError, match=r"not rendered by _csv_rows\(\)$"):
-        format_scan_csv(vojta_scan(config, render=lambda *columns: ["text"]))
+        format_scan_csv(vojta_scan(config, render=lambda *columns: ["text"]), out)
+    assert out.getvalue() == ""  # a refused report writes nothing
     # a report is written by its own format's writer, and a library report by either
-    assert format_audit_csv(sing1_audit(w, 1, _audit_csv_rows())) == format_audit_csv(
-        sing1_audit(w, 1))
-    assert format_scan_json(vojta_scan(config, render=_json_rows())) == format_scan_json(
-        vojta_scan(config))
+    assert written(format_audit_csv, sing1_audit(w, 1, _audit_csv_rows())) == written(
+        format_audit_csv, sing1_audit(w, 1))
+    assert written(format_scan_json, vojta_scan(config, render=_json_rows())) == written(
+        format_scan_json, vojta_scan(config))
 
 
 floats = st.floats(allow_nan=False, allow_infinity=False)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wproj.arith
@@ -48,7 +48,7 @@ from wproj.singular import is_singular
 from wproj.weights import Weights
 from wproj.wpoly import WPolynomial, evaluate, parse_polynomial, scaled_value
 
-from helpers import block_points, sign_canonical_tuples
+from helpers import block_points, sign_canonical_tuples, written
 
 W111 = Weights.of(1, 1, 1)
 
@@ -157,9 +157,9 @@ def test_scan_serializations_are_byte_identical():
     config = make_config()
     first = vojta_scan(config)
     second = vojta_scan(config)
-    assert format_scan_csv(first) == format_scan_csv(second)
-    assert format_scan_json(first) == format_scan_json(second)
-    assert "runtime" not in format_scan_json(first)
+    assert written(format_scan_csv, first) == written(format_scan_csv, second)
+    assert written(format_scan_json, first) == written(format_scan_json, second)
+    assert "runtime" not in written(format_scan_json, first)
 
 
 def test_scan_workers_match_sequential(monkeypatch):
@@ -1047,6 +1047,55 @@ def test_audit_by_blocks_is_the_per_point_audit(q, bounds):
         reference = _audit_reference(w, bound)
         assert (report.total_points, report.singular_points) == reference[:2], bound
         assert report.counterexamples == reference[2], bound
+
+
+# each holds a zero coordinate, a weight 1, a prime only the head has, one only
+# the last coordinate has, and an all-zero head (see the test below)
+DRAWN_AUDIT_EXAMPLES = [((2, 1), 6), ((2, 3, 5), 6), ((7, 1, 6), 5), ((4, 6, 5, 1), 3)]
+
+
+def _table_cases(rows):
+    """The cases of the per-prefix tables that these counterexamples hold."""
+    cases = set()
+    for row in rows:
+        *head, last = row.point
+        head_primes = {p for p, _, _ in row.valuations
+                       if any(x and x % p == 0 for x in head)}
+        last_primes = {p for p, _, _ in row.valuations if last and last % p == 0}
+        cases.update(
+            {"zero"} if 0 in row.point else (),
+            {"all-zero head"} if not any(head) else (),
+            {"head only"} if head_primes - last_primes else (),
+            {"last only"} if last_primes - head_primes else (),
+        )
+    return cases
+
+
+def test_drawn_audit_examples_hold_every_table_case():
+    cases = set()
+    for q, bound in DRAWN_AUDIT_EXAMPLES:
+        cases |= _table_cases(_audit_reference(Weights.of(*q), bound)[2])
+    assert cases == {"zero", "all-zero head", "head only", "last only"}
+    assert any(1 in q for q, _ in DRAWN_AUDIT_EXAMPLES)
+
+
+def _with_drawn_audit_examples(test):
+    for q, bound in DRAWN_AUDIT_EXAMPLES:
+        test = example(q, bound)(test)
+    return test
+
+
+@settings(max_examples=25)
+@given(st.lists(st.integers(1, 7), min_size=2, max_size=4).map(tuple)
+       .filter(lambda q: Weights.of(*q).is_well_formed()), st.integers(0, 6))
+@_with_drawn_audit_examples
+def test_audit_by_blocks_is_the_per_point_audit_at_drawn_weights(q, bound):
+    # the tables built per prefix, then per last coordinate, are the per-point ones
+    w = Weights.of(*q)
+    report = sing1_audit(w, bound)
+    reference = _audit_reference(w, bound)
+    assert (report.total_points, report.singular_points) == reference[:2]
+    assert report.counterexamples == reference[2]
 
 
 def test_sing1_audit_stays_off_the_fraction_path(monkeypatch):
