@@ -6,8 +6,9 @@ record; the scan and the audit emit CSV or JSON per --format.
 
 Conventions: exact rationals print as "p/q" strings (integers without
 the "/1"), reals as numbers rounded to 12 significant digits, formal
-log sums as arrays of [prime, exponent] pairs.  Exit codes: 0 success,
-1 stdout closed before the output was written, 2 parse errors, 3 domain
+log sums as arrays of [prime, exponent] pairs.  Exit codes: 0 success
+(a run started with fd 1 closed discards its output), 1 stdout closed by
+its reader before the output was written, 2 parse errors, 3 domain
 errors.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -32,13 +34,9 @@ from .localheights import (
 )
 from .points import format_point, normalization, parse_coords, parse_point, veronese
 from .scan import (
-    AuditReport,
     BoxDomain,
     ScanConfig,
-    ScanReport,
     SUnitGrid,
-    audit_rows,
-    scan_rows,
     sing1_audit,
     vojta_scan,
 )
@@ -323,7 +321,6 @@ def _csv_rows():
         return [f"{head}{v}],{a},{texts[r]},{texts[q]},{'true' if e else 'false'}"
                 for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
 
-    render.factory = _csv_rows
     return render
 
 
@@ -341,43 +338,24 @@ def _json_rows():
                 f'{texts[q]},\n      "exceptional": {"true" if e else "false"}\n    }}'
                 for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
 
-    render.factory = _json_rows
     return render
 
 
-def _rendered(rows: list, made_by, renderer) -> list[str]:
-    """``rows`` as the renderer ``made_by`` made them, which must be one that
-    the factory ``renderer`` made: another writer's text raises ValueError."""
-    if getattr(made_by, "factory", None) is not renderer:
-        raise ValueError(f"the report's rows were not rendered by {renderer.__name__}()")
-    return rows
-
-
-def _row_texts(report: ScanReport, renderer) -> list[str]:
-    """The report's rows as the text of ``renderer()``.  ``cmd_vojta_scan``
-    has the scan's workers render them; a library caller's holds ScanRows,
-    rendered here as blocks of one."""
-    if report.render is not scan_rows:
-        return _rendered(report.rows, report.render, renderer)
-    render = renderer()
-    return [text for p, *fields in report.rows
-            for text in render(p[:-1], p[-1:], *([field] for field in fields))]
-
-
-def format_scan_csv(report: ScanReport, out) -> None:
-    """Write the scan's CSV to the stream ``out``."""
-    texts = _row_texts(report, _csv_rows)
+def format_scan_csv(config: ScanConfig, workers: int, out) -> None:
+    """Scan with ``workers`` and write the CSV to the stream ``out``."""
+    texts = vojta_scan(config, workers, _csv_rows()).rows
     out.write("point,lhs,rhs,ratio,exceptional")
     _write_joined(out, texts, "\n", "\n")
     out.write("\n")
 
 
-def format_scan_json(report: ScanReport, out) -> None:
-    """Write the scan record to the stream ``out``, byte for byte as
-    ``json.dumps(record, indent=2)``, whose pure-Python encoder makes only
-    the config head and the summary here; the rows come from the
-    ``_json_rows`` template."""
-    head = json.dumps({"config": _config_record(report.config)}, indent=2)
+def format_scan_json(config: ScanConfig, workers: int, out) -> None:
+    """Scan with ``workers`` and write the record to the stream ``out``,
+    byte for byte as ``json.dumps(record, indent=2)``, whose pure-Python
+    encoder makes only the config head and the summary here; the rows come
+    from the ``_json_rows`` template."""
+    report = vojta_scan(config, workers, _json_rows())
+    head = json.dumps({"config": _config_record(config)}, indent=2)
     summary = json.dumps({
         "rows": len(report.rows),
         "candidates": report.total_candidates,
@@ -385,9 +363,8 @@ def format_scan_json(report: ScanReport, out) -> None:
         "exceptional": report.exceptional_count,
         "max_ratio": _real(report.max_ratio),
     }, indent=2).replace("\n", "\n  ")
-    texts = _row_texts(report, _json_rows)
     out.write(f'{head[:-2]},\n  "rows": ')
-    _write_json_list(out, texts, 1)
+    _write_json_list(out, report.rows, 1)
     out.write(f',\n  "summary": {summary}\n}}\n')
 
 
@@ -412,12 +389,8 @@ def cmd_vojta_scan(args) -> int:
         domain=_parse_domain(args.domain, len(w)),
         codim=args.codim,
     )
-    if args.format == "csv":
-        render, write = _csv_rows(), format_scan_csv
-    else:
-        render, write = _json_rows(), format_scan_json
-    report = vojta_scan(config, workers=args.workers, render=render)
-    write(report, sys.stdout)
+    write = format_scan_csv if args.format == "csv" else format_scan_json
+    write(config, args.workers, sys.stdout)
     return 0
 
 
@@ -460,7 +433,6 @@ def _audit_csv_rows():
         head = "[" + "".join(f"{c}:" for c in prefix)
         return [f"{head}{v}],true,false,true" for v in values]
 
-    render.factory = _audit_csv_rows
     return render
 
 
@@ -491,36 +463,23 @@ def _audit_json_rows():
             rows.append(f"{head}{v}{tail}")
         return rows
 
-    render.factory = _audit_json_rows
     return render
 
 
-def _audit_texts(report: AuditReport, renderer) -> list[str]:
-    """The report's counterexamples as the text of ``renderer()``, as
-    ``_row_texts``: ``cmd_sing1_audit`` has the audit render them; a library
-    caller's holds AuditRows, rendered here as blocks of one."""
-    rows = report.counterexamples
-    if report.render is not audit_rows:
-        return _rendered(rows, report.render, renderer)
-    render = renderer()
-    return [text for row in rows
-            for text in render(row.point[:-1], row.point[-1:], [row.valuations])]
-
-
-def format_audit_csv(report: AuditReport, out) -> None:
-    """Write the audit's CSV to the stream ``out``."""
-    texts = _audit_texts(report, _audit_csv_rows)
+def format_audit_csv(w: Weights, bound: int, out) -> None:
+    """Audit to ``bound`` and write the CSV to the stream ``out``."""
+    texts = sing1_audit(w, bound, _audit_csv_rows()).counterexamples
     out.write("point,log_hwgcd_zero,singular,counterexample")
     _write_joined(out, texts, "\n", "\n")
     out.write("\n")
 
 
-def format_audit_json(report: AuditReport, out) -> None:
-    """Write the audit record to the stream ``out``, byte for byte as
-    ``json.dumps(record, indent=2)``, whose pure-Python encoder makes only
-    the fixed-size head here; the counterexamples come from the
-    ``_audit_json_rows`` template, as the audit rendered them or, for a
-    library report of AuditRows, one by one here."""
+def format_audit_json(w: Weights, bound: int, out) -> None:
+    """Audit to ``bound`` and write the record to the stream ``out``, byte
+    for byte as ``json.dumps(record, indent=2)``, whose pure-Python encoder
+    makes only the fixed-size head here; the counterexamples come from the
+    ``_audit_json_rows`` template."""
+    report = sing1_audit(w, bound, _audit_json_rows())
     head = json.dumps({
         "weights": str(report.weights),
         "bound": report.bound,
@@ -531,20 +490,14 @@ def format_audit_json(report: AuditReport, out) -> None:
             "counterexamples": len(report.counterexamples),
         },
     }, indent=2)
-    texts = _audit_texts(report, _audit_json_rows)
     out.write(f'{head[:-2]},\n  "counterexamples": ')
-    _write_json_list(out, texts, 1)
+    _write_json_list(out, report.counterexamples, 1)
     out.write("\n}\n")
 
 
 def cmd_sing1_audit(args) -> int:
-    w = parse_weights(args.weights)
-    if args.format == "csv":
-        render, write = _audit_csv_rows(), format_audit_csv
-    else:
-        render, write = _audit_json_rows(), format_audit_json
-    report = sing1_audit(w, args.bound, render=render)
-    write(report, sys.stdout)
+    write = format_audit_csv if args.format == "csv" else format_audit_json
+    write(parse_weights(args.weights), args.bound, sys.stdout)
     return 0
 
 
@@ -640,18 +593,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # Python started with fd 1 closed: the output goes nowhere
+        sys.stdout = open(os.devnull, "w")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        if sys.stdout is not None:  # None when Python started with fd 1 closed
-            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:
         # the reader closed stdout early: the rest of the output goes to
         # devnull, so the flush at exit cannot raise again
-        import os
-
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -219,11 +219,10 @@ def scan_rows(prefix, values, lhs, rhs, ratio, exceptional) -> list[ScanRow]:
 
 class ScanReport(Record):
     config: ScanConfig
-    rows: list  # the renderer's rows of each block, concatenated: ScanRows by default
+    rows: list
     total_candidates: int
     exceptional_count: int
     max_ratio: float
-    render: Renderer = scan_rows  # the renderer that made the rows
 
     @property
     def skipped_on_subscheme(self) -> int:
@@ -568,14 +567,12 @@ def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = scan_row
 
     ``ScanReport.rows`` holds the rows that ``render(prefix, values, lhs,
     rhs, ratio, exceptional)`` makes of each block of kept rows, in
-    order: by default their ``ScanRow``s (``scan_rows``); and
-    ``ScanReport.render`` is ``render``, so a writer can tell whose rows
-    they are.  With
-    ``workers > 1`` the domain is cut into at most that many parts
-    (``parts``), one for this process and one for each of at most
-    ``os.cpu_count() - 1`` forked children (none where ``os.fork`` does
-    not exist); the report is the same for any worker count, and so is
-    the error raised.
+    order: by default their ``ScanRow``s (``scan_rows``), and in the
+    writers of ``wproj.cli`` their text.  With ``workers > 1`` the domain
+    is cut into at most that many parts (``parts``), one for this process
+    and one for each of at most ``os.cpu_count() - 1`` forked children
+    (none where ``os.fork`` does not exist); the report is the same for
+    any worker count, and so is the error raised.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -612,7 +609,6 @@ def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = scan_row
         total_candidates=total,
         exceptional_count=exceptional,
         max_ratio=max_ratio,
-        render=render,
     )
 
 
@@ -647,8 +643,7 @@ class AuditReport(Record):
     bound: int
     total_points: int
     singular_points: int
-    counterexamples: list  # the renderer's rows of each block, concatenated: AuditRows by default
-    render: AuditRenderer = audit_rows  # the renderer that made them
+    counterexamples: list
 
 
 def _canonical_points(w: Weights, bound: int) -> Iterator[Block]:
@@ -727,7 +722,8 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
     on whether v is 0.  ``AuditReport.counterexamples`` holds the rows
     that ``render(prefix, values, tables)`` makes of each block's
     nonsingular values and their tables, in order: by default their
-    ``AuditRow``s (``audit_rows``); and ``AuditReport.render`` is ``render``.
+    ``AuditRow``s (``audit_rows``), and in the writers of ``wproj.cli``
+    their text.
     """
     if bound < 0:
         raise ValueError(f"the audit bound must be non-negative, got {bound}")
@@ -783,5 +779,4 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
         total_points=total,
         singular_points=singular_count,
         counterexamples=counterexamples,
-        render=render,
     )

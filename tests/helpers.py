@@ -56,10 +56,20 @@ def run_wproj_closing(nbytes: int, *args: str, unbuffered: bool,
     return proc.returncode, head, err
 
 
-def written(write, report) -> str:
-    """The text that the stream writer ``write(report, out)`` writes."""
+def run_wproj_without_stdout(*args: str, timeout: float) -> tuple[int, str]:
+    """(exit code, stderr) of ``python -m wproj.cli *args`` started with fd 1
+    closed, as ``>&-`` starts it, so that its ``sys.stdout`` is None."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-m", "wproj.cli", *args], env=env,
+                         stderr=subprocess.PIPE, text=True, timeout=timeout,
+                         preexec_fn=lambda: os.close(1))
+    return out.returncode, out.stderr
+
+
+def written(write, *args) -> str:
+    """The text that the stream writer ``write(*args, out)`` writes."""
     out = io.StringIO()
-    write(report, out)
+    write(*args, out)
     return out.getvalue()
 
 

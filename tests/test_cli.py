@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import os
 import random
@@ -12,24 +11,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wproj.scan
-from helpers import run_wproj, run_wproj_closing, written
+from helpers import run_wproj, run_wproj_closing, run_wproj_without_stdout, written
 from wproj.cli import (
-    _audit_csv_rows,
     _audit_json_rows,
     _config_record,
     _csv_rows,
     _json_rows,
     _rat,
     _real,
-    format_audit_csv,
     format_audit_json,
-    format_scan_csv,
     format_scan_json,
     main,
 )
 from wproj.gcdops import Subscheme
 from wproj.scan import (
-    AuditReport,
     AuditRow,
     BoxDomain,
     ScanConfig,
@@ -218,6 +213,23 @@ def test_sing1_audit_command(capsys):
     assert "[1:1:1]" in points
 
 
+def _audit_row_record(row):
+    # a counterexample's record in format_audit_json, as json.dumps(indent=2) would lay it out
+    return {
+        "point": "[" + ":".join(str(v) for v in row.point) + "]",
+        "log_hwgcd_zero": True,
+        "singular": False,
+        "valuations": [
+            {
+                "prime": p,
+                "floors": [f if f >= 0 else "inf" for f in floors],
+                "min": minimum,
+            }
+            for p, floors, minimum in row.valuations
+        ],
+    }
+
+
 def _audit_record(report):
     # the record format_audit_json lays out, as json.dumps(indent=2) would
     return {
@@ -229,39 +241,29 @@ def _audit_record(report):
             "singular": report.singular_points,
             "counterexamples": len(report.counterexamples),
         },
-        "counterexamples": [
-            {
-                "point": "[" + ":".join(str(v) for v in row.point) + "]",
-                "log_hwgcd_zero": True,
-                "singular": False,
-                "valuations": [
-                    {
-                        "prime": p,
-                        "floors": [f if f >= 0 else "inf" for f in floors],
-                        "min": minimum,
-                    }
-                    for p, floors, minimum in row.valuations
-                ],
-            }
-            for row in report.counterexamples
-        ],
+        "counterexamples": [_audit_row_record(row) for row in report.counterexamples],
     }
 
 
 def test_audit_json_matches_the_json_module():
-    reports = [sing1_audit(Weights.of(*q), bound) for q, bound in (
-        ((2, 3, 5), 4), ((1, 4, 6, 9), 2), ((1,), 3), ((2, 3), 6), ((1, 1), 0),
-    )]
-    reports.append(AuditReport(Weights.of(1, 1), 9, 5, 2, [
-        AuditRow((-1, 1), ()),  # empty valuations
-        AuditRow((0, 97), ((97, (-1, 1), 1),)),
-        AuditRow((12, -18), ((2, (2, 1), 1), (3, (1, 2), 1))),
-    ]))
-    assert reports[-2].counterexamples == []
-    assert any(not row.valuations for row in reports[0].counterexamples)
-    for report in reports:
+    for q, bound in (((2, 3, 5), 4), ((1, 4, 6, 9), 2), ((1,), 3), ((2, 3), 6), ((1, 1), 0)):
+        report = sing1_audit(Weights.of(*q), bound)
+        if q == (1, 1):
+            assert report.counterexamples == []
+        if q == (2, 3, 5):
+            assert any(not row.valuations for row in report.counterexamples)
         expected = json.dumps(_audit_record(report), indent=2) + "\n"
-        assert written(format_audit_json, report) == expected
+        assert written(format_audit_json, Weights.of(*q), bound) == expected
+    # rows the audit does not make at these bounds, rendered as blocks of one:
+    # each text is its record as indent=2 lays it out in the counterexamples list
+    render = _audit_json_rows()
+    for row in [
+        AuditRow((-1, 1), ()),  # empty valuations
+        AuditRow((0, 97), ((97, (-1, 1), 1),)),  # a zero coordinate: an "inf" floor
+        AuditRow((12, -18), ((2, (2, 1), 1), (3, (1, 2), 1))),
+    ]:
+        expected = json.dumps(_audit_row_record(row), indent=2).replace("\n", "\n    ")
+        assert render(row.point[:-1], row.point[-1:], [row.valuations]) == [expected]
 
 
 def _scan_record(report):
@@ -316,12 +318,9 @@ def _scan_config(q, generators, gcd_q, epsilon, s_primes, domain, codim=None):
 ])
 def test_scan_json_matches_the_json_module(monkeypatch, config):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # fork a worker on any machine
-    rows = vojta_scan(config)
-    expected = json.dumps(_scan_record(rows), indent=2) + "\n"
-    assert written(format_scan_json, rows) == expected
+    expected = json.dumps(_scan_record(vojta_scan(config)), indent=2) + "\n"
     for workers in (1, 2):
-        rendered = vojta_scan(config, workers=workers, render=_json_rows())
-        assert written(format_scan_json, rendered) == expected
+        assert written(format_scan_json, config, workers) == expected
 
 
 SCAN_ARGVS = [
@@ -827,6 +826,23 @@ def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(unbuffered):
     assert (code, err) == (1, b"")
 
 
+def test_a_run_started_without_stdout_ends_as_a_scalar_command_does():
+    # with fd 1 closed (`wproj ... >&-`) sys.stdout is None: the scan and the
+    # audit died of an AttributeError and exited 1, while `height` exited 0
+    for argv in [
+        ("vojta-scan", "--weights", "(1,1,1)", "--generators", "x1-x0;x2-x0", "--domain", "box:2"),
+        ("sing1-audit", "--weights", "(2,3,5)", "--bound", "2"),
+        ("height", "[3:4]", "--weights", "(1,1)"),
+    ]:
+        assert run_wproj_without_stdout(*argv, timeout=60) == (0, ""), argv
+    # errors keep their codes and their records on stderr
+    code, err = run_wproj_without_stdout("height", "[a:4]", "--weights", "(1,1)", timeout=60)
+    assert (code, json.loads(err)["error"]) == (2, "parse-error")
+    code, err = run_wproj_without_stdout("sing1-audit", "--weights", "(2,4)", "--bound", "2",
+                                         timeout=60)
+    assert (code, json.loads(err)["error"]) == (3, "ill-formed-weights")
+
+
 SUNIT_SEED_1 = ("vojta-scan", "--weights", "(1,2,3)", "--generators", "x1-2*x0;x2-5*x0",
                 "--main2-default", "--epsilon", "1", "--s-primes", "2,3",
                 "--domain", "sunit:2,3:1000000")
@@ -870,30 +886,6 @@ def test_benchmark_scans_keep_their_bytes_at_any_worker_count(monkeypatch, capsy
     code, out, err = run_cli(capsys, *argv, "--workers", workers)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_a_report_is_written_only_in_the_format_it_was_rendered_for():
-    # both writers printed the other format's text under their own header
-    w = Weights.of(2, 3, 5)
-    not_csv = r"^the report's rows were not rendered by _audit_csv_rows\(\)$"
-    out = io.StringIO()
-    with pytest.raises(ValueError, match=not_csv):
-        format_audit_csv(sing1_audit(w, 1, _audit_json_rows()), out)
-    with pytest.raises(ValueError, match=r"not rendered by _audit_json_rows\(\)$"):
-        format_audit_json(sing1_audit(w, 1, _audit_csv_rows()), out)
-    config = _scan_config((1, 1, 1), ("x1-x0", "x2-x0"), (1, 1), 1, (), BoxDomain.symmetric(2, 3))
-    with pytest.raises(ValueError, match=r"not rendered by _csv_rows\(\)$"):
-        format_scan_csv(vojta_scan(config, render=_json_rows()), out)
-    with pytest.raises(ValueError, match=r"not rendered by _json_rows\(\)$"):
-        format_scan_json(vojta_scan(config, render=_csv_rows()), out)
-    with pytest.raises(ValueError, match=r"not rendered by _csv_rows\(\)$"):
-        format_scan_csv(vojta_scan(config, render=lambda *columns: ["text"]), out)
-    assert out.getvalue() == ""  # a refused report writes nothing
-    # a report is written by its own format's writer, and a library report by either
-    assert written(format_audit_csv, sing1_audit(w, 1, _audit_csv_rows())) == written(
-        format_audit_csv, sing1_audit(w, 1))
-    assert written(format_scan_json, vojta_scan(config, render=_json_rows())) == written(
-        format_scan_json, vojta_scan(config))
 
 
 floats = st.floats(allow_nan=False, allow_infinity=False)
