@@ -191,12 +191,17 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def exact_power(r: RationalLike, e: int) -> RationalLike:
-    """r^e for an int e >= 0, of r's type, or OutputTooLarge, before any
-    power is taken, when its numerator or denominator would pass
-    _SIGN_BUDGET bits: n^e has at least e * (bit_length(n) - 1) + 1 of them."""
-    if e * (max(r.numerator.bit_length(), r.denominator.bit_length()) - 1) >= _SIGN_BUDGET:
+def check_power(bits: int, e: int) -> None:
+    """Refuse, as OutputTooLarge, n^e for an int n of ``bits`` bits past
+    _SIGN_BUDGET bits before it is taken: it has at least e * (bits - 1) + 1."""
+    if e * (bits - 1) >= _SIGN_BUDGET:
         raise OutputTooLarge(f"an exact power would have over {_SIGN_BUDGET} bits")
+
+
+def exact_power(r: RationalLike, e: int) -> RationalLike:
+    """r^e for an int e >= 0, of r's type, or OutputTooLarge from
+    ``check_power`` on the bits of its numerator or denominator."""
+    check_power(max(r.numerator.bit_length(), r.denominator.bit_length()), e)
     return r ** e
 
 

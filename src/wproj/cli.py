@@ -308,44 +308,70 @@ def _config_record(config: ScanConfig) -> dict:
 
 
 def _csv_rows():
-    """A ``scan.Renderer`` of a block's CSV rows, made for one scan: the
-    points' text, as ``format_point``'s, up to their last coordinate is made
-    once per block, and each distinct float's text once per scan, in a cache
-    of its own (its keys are rhs >= 1 and ratio > 0, so never -0.0, which
-    would share 0.0's entry)."""
+    """A ``scan.Renderer`` of a block's CSV rows as one text, the rows joined
+    by newlines, made for one scan: the points' text, as ``format_point``'s,
+    up to their last coordinate is made once per block, and each distinct
+    float's text once per scan, in a cache of its own (its keys are rhs >= 1
+    and ratio > 0, so never -0.0, which would share 0.0's entry)."""
     texts: dict[float, str] = {}
 
     def render(prefix, values, lhs, rhs, ratio, exceptional) -> list[str]:
         texts.update({r: f"{r:.12g}" for r in set(rhs).union(ratio).difference(texts)})
         head = "[" + "".join(f"{c}:" for c in prefix)
-        return [f"{head}{v}],{a},{texts[r]},{texts[q]},{'true' if e else 'false'}"
-                for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
+        return ["\n".join([f"{head}{v}],{a},{texts[r]},{texts[q]},{'true' if e else 'false'}"
+                           for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)])]
 
     return render
 
 
 def _json_rows():
-    """A ``scan.Renderer`` of a block's rows as ``json.dumps(..., indent=2)``
-    lays them out in the rows list, made for one scan, with texts made once
-    as ``_csv_rows`` makes them: the point text needs no escaping, and a
-    float's JSON text is the repr of its 12-digit rounding."""
+    """A ``scan.Renderer`` of a block's rows as one text, laid out as
+    ``json.dumps(..., indent=2)`` lays them out in the rows list, made for one
+    scan, with texts made once as ``_csv_rows`` makes them: the point text
+    needs no escaping, and a float's JSON text is the repr of its 12-digit
+    rounding."""
     texts: dict[float, str] = {}
 
     def render(prefix, values, lhs, rhs, ratio, exceptional) -> list[str]:
         texts.update({r: repr(_real(r)) for r in set(rhs).union(ratio).difference(texts)})
         head = '{\n      "point": "[' + "".join(f"{c}:" for c in prefix)
-        return [f'{head}{v}]",\n      "lhs": {a},\n      "rhs": {texts[r]},\n      "ratio": '
-                f'{texts[q]},\n      "exceptional": {"true" if e else "false"}\n    }}'
-                for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
+        return [",\n    ".join([
+            f'{head}{v}]",\n      "lhs": {a},\n      "rhs": {texts[r]},\n      "ratio": '
+            f'{texts[q]},\n      "exceptional": {"true" if e else "false"}\n    }}'
+            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)])]
 
     return render
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """Rendered JSON values as a list at this depth, laid out as indent=2 does."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _write_json_blocks(out, texts: list[str]) -> None:
+    """Write a list at depth 1, laid out as indent=2 does, to ``out`` from
+    its blocks' texts, each its items joined as indent=2 joins them, a block
+    a write; ``[]`` for no blocks."""
+    if not texts:
+        out.write("[]")
+        return
+    lead = "[\n    "
+    for text in texts:
+        out.write(lead + text)
+        lead = ",\n    "
+    out.write("\n  ]")
+
+
 def format_scan_csv(config: ScanConfig, workers: int, out) -> None:
-    """Scan with ``workers`` and write the CSV to the stream ``out``."""
+    """Scan with ``workers`` and write the CSV to the stream ``out``, a
+    block a write."""
     texts = vojta_scan(config, workers, _csv_rows()).rows
     out.write("point,lhs,rhs,ratio,exceptional")
-    _write_joined(out, texts, "\n", "\n")
+    for text in texts:
+        out.write("\n" + text)
     out.write("\n")
 
 
@@ -353,18 +379,18 @@ def format_scan_json(config: ScanConfig, workers: int, out) -> None:
     """Scan with ``workers`` and write the record to the stream ``out``,
     byte for byte as ``json.dumps(record, indent=2)``, whose pure-Python
     encoder makes only the config head and the summary here; the rows come
-    from the ``_json_rows`` template."""
+    from the ``_json_rows`` template, a block a write."""
     report = vojta_scan(config, workers, _json_rows())
     head = json.dumps({"config": _config_record(config)}, indent=2)
     summary = json.dumps({
-        "rows": len(report.rows),
+        "rows": report.total_candidates - report.skipped_on_subscheme,
         "candidates": report.total_candidates,
         "skipped_on_subscheme": report.skipped_on_subscheme,
         "exceptional": report.exceptional_count,
         "max_ratio": _real(report.max_ratio),
     }, indent=2).replace("\n", "\n  ")
     out.write(f'{head[:-2]},\n  "rows": ')
-    _write_json_list(out, report.rows, 1)
+    _write_json_blocks(out, report.rows)
     out.write(f',\n  "summary": {summary}\n}}\n')
 
 
@@ -394,54 +420,20 @@ def cmd_vojta_scan(args) -> int:
     return 0
 
 
-# rows per write of the scan and audit writers: a write holds a bounded
-# part of the output, never all of it
-_CHUNK_ROWS = 256
-
-
-def _write_joined(out, texts: list[str], sep: str, lead: str) -> None:
-    """Write ``lead + sep.join(texts)`` to ``out``, ``_CHUNK_ROWS`` texts a
-    write; nothing for no texts."""
-    for i in range(0, len(texts), _CHUNK_ROWS):
-        out.write(lead + sep.join(texts[i:i + _CHUNK_ROWS]))
-        lead = sep
-
-
-def _json_list(items: list[str], depth: int) -> str:
-    """Rendered JSON values as a list at this depth, laid out as indent=2 does."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
-def _write_json_list(out, items: list[str], depth: int) -> None:
-    """Write ``_json_list(items, depth)`` to ``out``, a chunk of items a write."""
-    if not items:
-        out.write("[]")
-        return
-    inner = "\n" + "  " * (depth + 1)
-    _write_joined(out, items, "," + inner, "[" + inner)
-    out.write("\n" + "  " * depth + "]")
-
-
-def _audit_csv_rows():
-    """A ``scan.AuditRenderer`` of a block's CSV counterexamples, with the text
-    of the prefix made once, as ``_csv_rows``."""
-
-    def render(prefix, values, tables) -> list[str]:
-        head = "[" + "".join(f"{c}:" for c in prefix)
-        return [f"{head}{v}],true,false,true" for v in values]
-
-    return render
+def _audit_csv_rows(prefix, values, tables) -> list[str]:
+    """A ``scan.AuditRenderer`` of a block's CSV counterexamples as one text,
+    the rows joined by newlines, with the text of the prefix made once."""
+    head = "[" + "".join(f"{c}:" for c in prefix)
+    return ["\n".join([f"{head}{v}],true,false,true" for v in values])]
 
 
 def _audit_json_rows():
-    """A ``scan.AuditRenderer`` of a block's counterexamples as ``json.dumps(...,
-    indent=2)`` lays them out in the counterexamples list, with the text of the
-    prefix made once, and each distinct valuation table's text once, in a cache
-    of its own: one renderer for one audit.  The texts hold ints, constants,
-    "inf" and point strings, so a template needs no escaping."""
+    """A ``scan.AuditRenderer`` of a block's counterexamples as one text, laid
+    out as ``json.dumps(..., indent=2)`` lays them out in the counterexamples
+    list, with the text of the prefix made once, and each distinct valuation
+    table's text once, in a cache of its own: one renderer for one audit.
+    The texts hold ints, constants, "inf" and point strings, so a template
+    needs no escaping."""
     tails: dict[tuple, str] = {}
 
     def render(prefix, values, tables) -> list[str]:
@@ -461,16 +453,18 @@ def _audit_json_rows():
                     f'      "valuations": {_json_list(valuations, 3)}\n    }}'
                 )
             rows.append(f"{head}{v}{tail}")
-        return rows
+        return [",\n    ".join(rows)]
 
     return render
 
 
 def format_audit_csv(w: Weights, bound: int, out) -> None:
-    """Audit to ``bound`` and write the CSV to the stream ``out``."""
-    texts = sing1_audit(w, bound, _audit_csv_rows()).counterexamples
+    """Audit to ``bound`` and write the CSV to the stream ``out``, a block a
+    write."""
+    texts = sing1_audit(w, bound, _audit_csv_rows).counterexamples
     out.write("point,log_hwgcd_zero,singular,counterexample")
-    _write_joined(out, texts, "\n", "\n")
+    for text in texts:
+        out.write("\n" + text)
     out.write("\n")
 
 
@@ -478,7 +472,7 @@ def format_audit_json(w: Weights, bound: int, out) -> None:
     """Audit to ``bound`` and write the record to the stream ``out``, byte
     for byte as ``json.dumps(record, indent=2)``, whose pure-Python encoder
     makes only the fixed-size head here; the counterexamples come from the
-    ``_audit_json_rows`` template."""
+    ``_audit_json_rows`` template, a block a write."""
     report = sing1_audit(w, bound, _audit_json_rows())
     head = json.dumps({
         "weights": str(report.weights),
@@ -487,11 +481,11 @@ def format_audit_json(w: Weights, bound: int, out) -> None:
             "points": report.total_points,
             "zero_log_hwgcd": report.total_points,  # all of them: see sing1_audit
             "singular": report.singular_points,
-            "counterexamples": len(report.counterexamples),
+            "counterexamples": report.total_points - report.singular_points,
         },
     }, indent=2)
     out.write(f'{head[:-2]},\n  "counterexamples": ')
-    _write_json_list(out, report.counterexamples, 1)
+    _write_json_blocks(out, report.counterexamples)
     out.write("\n}\n")
 
 

@@ -36,7 +36,8 @@ does the work of the prefix once and makes each stage of the rows as a
 column: the generator values, lhs, rhs, ratio and the verdict.  lhs is
 the plain gcd, one C call a row, factored only at the rows where the
 prefix's constant generator values leave a prime open (``_lhs_column``),
-and the kept rows are rendered by one call.  The stages raise, and one
+and a block's kept rows are rendered by one call: ScanRows, or in the
+writers of ``wproj.cli`` one text per block.  The stages raise, and one
 rule keeps the errors in row order: a block where a stage fails is
 evaluated again as blocks of one, so the rows before its first failing
 row are rendered and that row raises, as a row-by-row scan would; only
@@ -59,10 +60,10 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from . import arith
-from .arith import (_SIGN_BUDGET, _SIGN_MARGIN, _TRIAL_LIMIT, ARCHIMEDEAN, RationalLike,
+from .arith import (_SIGN_MARGIN, _TRIAL_LIMIT, ARCHIMEDEAN, RationalLike, check_power,
                     log_sum_sign, max_term, s_part)
 from .errors import (DegenerateGenerators, EmptyDomain, FloatOverflow, IllFormedWeights,
-                     NonIntegralValue, OutputTooLarge, WProjError, ZeroInput)
+                     NonIntegralValue, WProjError, ZeroInput)
 # log_hwgcd and wgcd are unused here; perfbench/tracing.py rebinds these names
 from .gcdops import Subscheme, _integer_tuple, _wgcd_value, log_hwgcd, wgcd
 # sign_canon is unused here; perfbench/tracing.py rebinds this name
@@ -207,7 +208,8 @@ class ScanRow(NamedTuple):
 
 
 # What a scan keeps of a block, the rows at prefix + (v,): the list made from the prefix
-# and the rows' columns (values, lhs, rhs, ratio, exceptional), ScanRows or their text
+# and the rows' columns (values, lhs, rhs, ratio, exceptional), the rows' ScanRows, or in
+# the writers of wproj.cli one item, the block's text
 Renderer = Callable[[tuple[int, ...], Sequence[int], Sequence[int], Sequence[float],
                      Sequence[float], Sequence[bool]], list]
 
@@ -218,16 +220,14 @@ def scan_rows(prefix, values, lhs, rhs, ratio, exceptional) -> list[ScanRow]:
 
 
 class ScanReport(Record):
+    """The rows that ``vojta_scan``'s renderer made, and the scan's own counts."""
+
     config: ScanConfig
     rows: list
     total_candidates: int
     exceptional_count: int
     max_ratio: float
-
-    @property
-    def skipped_on_subscheme(self) -> int:
-        """The candidates where every generator vanishes, which give no row."""
-        return self.total_candidates - len(self.rows)
+    skipped_on_subscheme: int  # the candidates where every generator vanishes: no row
 
 
 def s_units(primes: Sequence[int], max_value: int) -> list[int]:
@@ -345,7 +345,7 @@ def evaluate_point(config: ScanConfig, point: Sequence[RationalLike]) -> ScanRow
 def _int_columns(forms: Sequence[IntegerForm], values: Sequence[int]) -> list[list[int]]:
     """Per ``fix_prefix`` form, its ints at the values, by one list pass per
     term.  A power a * v^e past _SIGN_BUDGET bits at some value is refused
-    before it is taken, as ``arith.exact_power`` refuses it (OutputTooLarge),
+    before it is taken, by ``arith.check_power`` (OutputTooLarge),
     and a value that is not an integer raises NonIntegralValue, each checked
     form by form: in a block of one, the row's first failing form raises."""
     columns = []
@@ -358,9 +358,7 @@ def _int_columns(forms: Sequence[IntegerForm], values: Sequence[int]) -> list[li
             elif e == 1:
                 column = [s + a * v for s, v in zip(column, values)]
             else:
-                # v^e has at least e * (bit_length(v) - 1) + 1 bits: test the largest |v|
-                if e * (max(map(abs, values), default=0).bit_length() - 1) >= _SIGN_BUDGET:
-                    raise OutputTooLarge(f"an exact power would have over {_SIGN_BUDGET} bits")
+                check_power(max(map(abs, values), default=0).bit_length(), e)  # the largest |v|
                 column = [s + a * v ** e for s, v in zip(column, values)]
         if d != 1:
             bad = [v for v in column if v % d]
@@ -418,13 +416,15 @@ def _tie_verdict(config: ScanConfig, point: tuple[int, ...], lhs: int, stripped:
 def _scan_part(
     config: ScanConfig, render: Renderer, blocks: Iterable[Block],
     tables: Sequence[dict[int, tuple[float, int]]],
-) -> tuple[int, int, float, list]:
-    """(candidates, exceptional, max ratio, rendered rows) of the blocks.
+) -> tuple[int, int, float, int, list]:
+    """(candidates, exceptional, max ratio, skipped, rows) of the blocks:
+    the rows are what ``render`` made of each block's kept rows, in order.
 
     The blocks are ``candidate_points``'s: their points are int tuples of
     the right length, not all zero, and only the generator values are
     checked (NonIntegralValue); they stay ints up to lhs.  A point where
-    every generator vanishes (plain gcd 0) is a candidate with no row.
+    every generator vanishes (plain gcd 0) is a candidate with no row, and
+    ``skipped`` counts these.
     Each block is a few passes over columns, one per stage of a row: the
     generators are fixed at the prefix (``wpoly.fix_prefix``) and evaluated
     as columns of ints (``_int_columns``); lhs is their plain gcd, or the
@@ -452,11 +452,12 @@ def _scan_part(
     last_terms = tables[-1]
 
     def stages(prefix: tuple[int, ...], values: Sequence[int]):
-        """The block's kept values and their lhs, rhs, ratio and verdict columns."""
+        """The block's skipped count, kept values and lhs, rhs, ratio and verdicts."""
         fixed = [fix_prefix(form, prefix) for form in forms]
         columns = _int_columns(fixed, values)
         plain = list(map(math.gcd, *columns))  # 0 where every generator vanishes: no row
-        if 0 in plain:
+        skipped = plain.count(0)
+        if skipped:
             kept = list(map(bool, plain))
             values, plain = list(compress(values, kept)), list(compress(plain, kept))
             columns = [list(compress(column, kept)) for column in columns]
@@ -480,9 +481,9 @@ def _scan_part(
                     v = values[i]
                     exceptional[i] = _tie_verdict(config, prefix + (v,), lhs[i],
                                                   head_part * last_terms[v][1])
-        return values, lhs, rhs, ratio, exceptional
+        return skipped, values, lhs, rhs, ratio, exceptional
 
-    total = exceptional_count = 0
+    total = exceptional_count = skipped_count = 0
     max_ratio = -math.inf
     rows = []
     for prefix, values in blocks:
@@ -491,12 +492,13 @@ def _scan_part(
             made = [stages(prefix, values)]
         except WProjError:  # again row by row: the first failing row raises
             made = (stages(prefix, [v]) for v in values)
-        for kept, lhs, rhs, ratio, exceptional in made:
+        for skipped, kept, lhs, rhs, ratio, exceptional in made:
+            skipped_count += skipped
             if kept:
                 exceptional_count += sum(exceptional)
                 max_ratio = max(max_ratio, *ratio)
                 rows += render(prefix, kept, lhs, rhs, ratio, exceptional)
-    return total, exceptional_count, max_ratio, rows
+    return total, exceptional_count, max_ratio, skipped_count, rows
 
 
 class _Child:
@@ -533,7 +535,7 @@ class _Child:
         self.pipe = os.fdopen(read_fd, "rb")
         self.reaped = False
 
-    def result(self) -> tuple[int, int, float, list]:
+    def result(self) -> tuple[int, int, float, int, list]:
         """Read the child's result, then reap it; raise the exception it
         sent."""
         import pickle
@@ -565,10 +567,12 @@ class _Child:
 def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = scan_rows) -> ScanReport:
     """Tabulate the inequality over the configured domain.
 
-    ``ScanReport.rows`` holds the rows that ``render(prefix, values, lhs,
-    rhs, ratio, exceptional)`` makes of each block of kept rows, in
-    order: by default their ``ScanRow``s (``scan_rows``), and in the
-    writers of ``wproj.cli`` their text.  With ``workers > 1`` the domain
+    ``ScanReport.rows`` holds what ``render(prefix, values, lhs, rhs,
+    ratio, exceptional)`` makes of each block of kept rows, in order: by
+    default their ``ScanRow``s (``scan_rows``), one per row, and in the
+    writers of ``wproj.cli`` one text per block.  The counts do not depend
+    on the renderer: the candidates less ``skipped_on_subscheme`` are the
+    rows.  With ``workers > 1`` the domain
     is cut into at most that many parts (``parts``), one for this process
     and one for each of at most ``os.cpu_count() - 1`` forked children
     (none where ``os.fork`` does not exist); the report is the same for
@@ -589,17 +593,18 @@ def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = scan_row
     finally:
         for child in children:
             child.kill()
-    total = exceptional = 0
+    total = exceptional = skipped = 0
     max_ratio = -math.inf
     rows: list = []
-    for part_total, part_exceptional, part_max, part_rows in results:
+    for part_total, part_exceptional, part_max, part_skipped, part_rows in results:
         total += part_total
         exceptional += part_exceptional
         max_ratio = max(max_ratio, part_max)
+        skipped += part_skipped
         rows += part_rows
     if total == 0:
         raise EmptyDomain("no candidate points in the configured domain")
-    if not rows:
+    if skipped == total:
         raise DegenerateGenerators(
             "the generators vanish at every candidate point"
         )
@@ -609,6 +614,7 @@ def vojta_scan(config: ScanConfig, workers: int = 1, render: Renderer = scan_row
         total_candidates=total,
         exceptional_count=exceptional,
         max_ratio=max_ratio,
+        skipped_on_subscheme=skipped,
     )
 
 
@@ -629,7 +635,8 @@ class AuditRow(Record):
 
 
 # What an audit keeps of a block, its counterexamples prefix + (v,): the list made from
-# the prefix, their last coordinates and their valuation tables, AuditRows or their text
+# the prefix, their last coordinates and their valuation tables, the counterexamples'
+# AuditRows, or in the writers of wproj.cli one item, the block's text
 AuditRenderer = Callable[[tuple[int, ...], Sequence[int], Sequence[tuple]], list]
 
 
@@ -670,29 +677,14 @@ def _valuation_floors(w: Weights, bound: int) -> tuple[dict, ...]:
 
 def _valuation_table(point: tuple[int, ...], floors: tuple[dict, ...]):
     """(prime, floors, min) for each prime of a coordinate, read from
-    ``_valuation_floors``; -1 marks +infinity: the per-point reference for
-    the tables ``sing1_audit`` builds per prefix."""
+    ``_valuation_floors``; -1 marks +infinity.  ``sing1_audit`` reads a
+    prefix's rows from it, and builds each point's table from them."""
     entries = [column[v] for column, v in zip(floors, point)]
     table = []
     for p in sorted(set().union(*filter(None, entries))):
         row = tuple(-1 if e is None else e.get(p, 0) for e in entries)
         table.append((p, row, min(f for f in row if f >= 0)))
     return tuple(table)
-
-
-def _head_valuations(head: tuple[int, ...], floors: tuple[dict, ...]):
-    """What a prefix |x_0|, ..., |x_(n-1)| gives every valuation table that
-    ends in it: for each prime p of a head coordinate, p -> (the head's
-    floors row, its min over the non-negative entries), and (row, min) for a
-    prime that only the last coordinate has: floors 0, -1 at a zero, and min
-    0, or +infinity when the head is all zero."""
-    entries = [column[v] for column, v in zip(floors, head)]
-    known = {}  # in the order of the primes
-    for p in sorted(set().union(*filter(None, entries))):
-        row = tuple(-1 if e is None else e.get(p, 0) for e in entries)
-        known[p] = (row, min(f for f in row if f >= 0))
-    other = tuple(-1 if e is None else 0 for e in entries)
-    return known, (other, 0 if any(head) else math.inf)
 
 
 def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> AuditReport:
@@ -712,18 +704,19 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
     have the same floors, so a point's valuation table is a function of
     (|x_0|, ..., |x_n|), built once for each, and built from its prefix's
     part: for each new |prefix| its primes, and for each prime the prefix's
-    floors and their min, are found once (``_head_valuations``); each new
-    |v| then appends the last coordinate's floor to each row and takes one
-    min, over the sorted union of the primes.  ``_valuation_table`` builds
-    the same table point by point.
+    floors and their min, are found once (``_valuation_table`` of the
+    prefix); each new |v| then appends the last coordinate's floor to each
+    row and takes one min, over the sorted union of the primes.
 
     The points come in the blocks of ``_canonical_points``, a prefix and
     values of the last coordinate; within a block the support turns only
     on whether v is 0.  ``AuditReport.counterexamples`` holds the rows
     that ``render(prefix, values, tables)`` makes of each block's
     nonsingular values and their tables, in order: by default their
-    ``AuditRow``s (``audit_rows``), and in the writers of ``wproj.cli``
-    their text.
+    ``AuditRow``s (``audit_rows``), one per counterexample, and in the
+    writers of ``wproj.cli`` one text per block.  The counts do not depend
+    on the renderer: the points less the singular ones are the
+    counterexamples.
     """
     if bound < 0:
         raise ValueError(f"the audit bound must be non-negative, got {bound}")
@@ -743,7 +736,9 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
 
     floors = _valuation_floors(w, bound)
     last_floors = floors[-1]
-    # |prefix| -> ({|v|: table}, and _head_valuations of |prefix|)
+    # |prefix| -> ({|v|: table}, {p: (floors row, min)} of |prefix|, and the
+    # (row, min) of a prime that only |v| has: floors 0, -1 at a zero, and min
+    # 0, or +infinity when |prefix| is all zero)
     tables: dict[tuple[int, ...], tuple[dict[int, tuple], dict, tuple]] = {}
     for prefix, values in _canonical_points(w, bound):
         total += len(values)
@@ -760,7 +755,9 @@ def sing1_audit(w: Weights, bound: int, render: AuditRenderer = audit_rows) -> A
         head = tuple(map(abs, prefix))
         entry = tables.get(head)
         if entry is None:
-            entry = tables[head] = ({}, *_head_valuations(head, floors))
+            entry = tables[head] = (  # the head's own table: its zip stops at the head
+                {}, {p: (row, m) for p, row, m in _valuation_table(head, floors)},
+                (tuple(0 if v else -1 for v in head), 0 if any(head) else math.inf))
         column, known, other = entry
         magnitudes = list(map(abs, kept))
         for a in set(magnitudes).difference(column):

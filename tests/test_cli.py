@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from wproj.cli import (
     _rat,
     _real,
     format_audit_json,
+    format_scan_csv,
     format_scan_json,
     main,
 )
@@ -816,6 +818,34 @@ def test_writers_never_hold_the_whole_output(monkeypatch, argv, digest):
     assert max(map(len, stdout.writes)) <= len(text) / 8
 
 
+class _Count:
+    """A stdout that counts the characters written and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("write, most", [(format_scan_csv, 2.0), (format_scan_json, 1.3)])
+def test_a_scan_holds_little_more_than_its_output(write, most):
+    # a string per row held the output over again in string headers and list
+    # slots: a traced peak of 2.68 (CSV) and 1.50 (JSON) times the characters
+    # written at box:14; a text per block holds little more than the output
+    config = _scan_config((1, 1, 2), ("x1-x0", "x2-x0"), (1, 1), "1/2", (2,),
+                          BoxDomain.symmetric(14, 3))
+    out = _Count()
+    tracemalloc.start()
+    try:
+        write(config, 1, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= most * out.chars, (peak, out.chars)
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(unbuffered):
     # `wproj sing1-audit ... | head -c 10` printed a BrokenPipeError traceback
@@ -894,20 +924,21 @@ floats = st.floats(allow_nan=False, allow_infinity=False)
 @given(st.lists(st.lists(st.tuples(floats.filter(lambda r: r >= 1), floats.filter(lambda q: q > 0),
                                     st.booleans()), max_size=8), max_size=6))
 def test_cached_renderers_write_each_floats_own_text(blocks):
-    # one renderer per scan, over its blocks: a float's text as each row wrote it before
+    # one renderer per scan, over its blocks: a float's text as each row wrote it
+    # before, in one text per block, its rows joined as the writer joins them
     csv, json_rows = _csv_rows(), _json_rows()
     for k, block in enumerate(blocks):
         prefix, values, lhs = (k, -k), list(range(len(block))), [k + 1] * len(block)
         rhs, ratio, exceptional = (list(column) for column in zip(*block)) if block else ([],) * 3
         columns = (prefix, values, lhs, rhs, ratio, exceptional)
-        assert csv(*columns) == [
+        assert csv(*columns) == ["\n".join(
             f"[{k}:{-k}:{v}],{a},{r:.12g},{q:.12g},{'true' if e else 'false'}"
-            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
-        assert json_rows(*columns) == [
+            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional))]
+        assert json_rows(*columns) == [",\n    ".join(
             f'{{\n      "point": "[{k}:{-k}:{v}]",\n      "lhs": {a},\n      "rhs": '
             f'{_real(r)!r},\n      "ratio": {_real(q)!r},\n      "exceptional": '
             f'{"true" if e else "false"}\n    }}'
-            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional)]
+            for v, a, r, q, e in zip(values, lhs, rhs, ratio, exceptional))]
 
 
 # sing1-audit --bound 11 at each permutation of (2,3,5): (CSV, JSON) sha256 of stdout

@@ -81,7 +81,7 @@ def instances():
         BoxDomain.symmetric(2, 3),
         SUnitGrid((2, 3), 10),
         CONFIG,
-        ScanReport(CONFIG, [], 0, 0, 0.0),
+        ScanReport(CONFIG, [], 0, 0, 0.0, 0),
         AuditRow((1, 1, 1), ()),
         sing1_audit(Weights.of(1, 1), 2),
     ]

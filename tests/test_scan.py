@@ -124,6 +124,24 @@ def test_scan_skips_points_on_subscheme():
     assert vojta_scan(tie_config(14)).skipped_on_subscheme == 20
 
 
+def test_the_counts_do_not_depend_on_what_the_renderer_keeps():
+    # skipped_on_subscheme was the candidates less the rendered items: with a
+    # renderer that keeps only the exceptional rows it read 20,120, not 20,
+    # and a renderer that keeps nothing made the scan raise DegenerateGenerators
+    full = vojta_scan(tie_config(14))
+    assert (full.total_candidates, len(full.rows), full.skipped_on_subscheme) == (20648, 20628, 20)
+    kept = vojta_scan(tie_config(14), render=lambda *block: [
+        row for row in scan_rows(*block) if row.exceptional])
+    assert kept.skipped_on_subscheme == 20
+    assert kept.rows == [row for row in full.rows if row.exceptional]
+    none = vojta_scan(tie_config(14), render=lambda *block: [])
+    assert none.rows == []
+    for report in (kept, none):
+        assert (report.total_candidates, report.exceptional_count, report.max_ratio,
+                report.skipped_on_subscheme) == (full.total_candidates, full.exceptional_count,
+                                                 full.max_ratio, full.skipped_on_subscheme)
+
+
 def test_all_unit_values_never_exceptional():
     # generators evaluate to +/-1 on this domain: lhs is always 1
     w = Weights.of(1, 1)
